@@ -132,13 +132,14 @@ class NodeAccessor(abc.ABC):
     def read_nodes(self, raw_ptrs) -> Generator[Any, Any, list]:
         """Fetch several pages; the base implementation is serial.
 
-        Remote accessors override this with a parallel implementation
-        (selectively signaled READs, Section 4.3) so head-node prefetching
-        actually overlaps round trips.
+        The only caller is the scan prefetch, which never mutates, so the
+        pages are read shared. Remote accessors override this with a
+        parallel implementation (selectively signaled READs, Section 4.3)
+        so head-node prefetching actually overlaps round trips.
         """
         nodes = []
         for raw_ptr in raw_ptrs:
-            node = yield from self.read_node(raw_ptr)
+            node = yield from self.read_node(raw_ptr, shared=True)
             nodes.append(node)
         return nodes
 

@@ -256,13 +256,14 @@ class BLinkTree:
             if cached is not None and not cached.is_locked:
                 node = cached
             else:
-                node = yield from self._read_unlocked(raw_ptr)
+                node = yield from self._read_unlocked(raw_ptr, shared=True)
 
     def _prefetch_group(
         self, node: Node, high: int, prefetched: Dict[int, Node]
     ) -> Generator[Any, Any, None]:
-        """Read *node*'s head node and fetch the upcoming leaves in parallel."""
-        head = yield from self.acc.read_node(node.head)
+        """Read *node*'s head node and fetch the upcoming leaves in parallel.
+        Scans never mutate, so every page here is read shared."""
+        head = yield from self.acc.read_node(node.head, shared=True)
         if not head.is_head:
             return  # the page was recycled; ignore the stale pointer
         wanted = []

@@ -13,6 +13,25 @@ Two accessor implementations mirror the paper's two access paths:
   Page allocation is a one-sided FETCH_AND_ADD on the target server's
   allocation word, round-robin across servers — no remote CPU involved.
 
+Decode memo: both accessors skip re-parsing a page image they have already
+decoded. Pages are never recycled and every mutation bumps the version
+word, so an *even* (unlocked) version names one page content for the whole
+run. A memo maps a page to the master :class:`Node` decoded from its last
+unlocked image; a read whose version word matches reuses the master. The
+simulated READ and its CPU cost still happen — only the host-side parse is
+skipped. Masters are shared: ``read_node(shared=True)`` returns the master
+itself, and any other read returns a private ``clone()``. Ownership:
+
+* every session on one compute server shares
+  :attr:`ComputeServer.decode_memo` (keyed by raw pointer), used only while
+  neither a fault injector nor replication is attached;
+* every :class:`LocalAccessor` keeps its own memo keyed by page offset in
+  the one region it is bound to. Local reads are never faulted, so it stays
+  on under chaos; a :meth:`MemoryRegion.wipe` (destructive crash, resync)
+  empties it;
+* the verifier reads through a :class:`NoDecodeMemo` so every check decodes
+  the bytes it just read.
+
 Root references follow the same split: :class:`LocalRootRef` reads/CASes a
 root word in the server's own region; :class:`RemoteRootRef` caches the
 root pointer on the compute server (stale roots are harmless in B-link
@@ -38,7 +57,7 @@ split sibling (reachable via the sibling pointer), or after the page write
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.btree.accessor import NodeAccessor, RootRef
 from repro.btree.node import Node
@@ -58,7 +77,13 @@ from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
 from repro.nam.replication import failover_retry
 
-__all__ = ["LocalAccessor", "RemoteAccessor", "LocalRootRef", "RemoteRootRef"]
+__all__ = [
+    "LocalAccessor",
+    "LocalRootRef",
+    "NoDecodeMemo",
+    "RemoteAccessor",
+    "RemoteRootRef",
+]
 
 #: While a node is write-locked, bits 48-63 of its version word carry the
 #: locker's owner tag; bits 0-47 keep the version counter and lock bit.
@@ -66,6 +91,34 @@ __all__ = ["LocalAccessor", "RemoteAccessor", "LocalRootRef", "RemoteRootRef"]
 #: even versions exactly as in the paper.
 _LOCK_TAG_SHIFT = 48
 _LOCK_VERSION_MASK = (1 << _LOCK_TAG_SHIFT) - 1
+
+
+class NoDecodeMemo(dict):
+    """A decode memo that never stores, so every read parses its own bytes.
+
+    The verifier reads through one to stay an independent oracle: a page
+    corrupted in place keeps its version word, and a real memo would keep
+    serving the node decoded before the corruption.
+    """
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def _decode_memoized(cache: Dict[int, Node], key: int, data) -> Node:
+    """Decode *data*, reusing ``cache[key]`` if the image's version word is
+    unchanged, and remember unlocked images (see the module docstring).
+    The returned node is shared: callers must clone before mutating."""
+    version = _PEEK_U64(data)[0]
+    master = cache.get(key)
+    if master is not None and master.version == version:
+        return master
+    master = Node.from_bytes(data)
+    if not version & 1:
+        cache[key] = master
+    return master
 
 
 class LocalAccessor(NodeAccessor):
@@ -95,15 +148,22 @@ class LocalAccessor(NodeAccessor):
         self._node_cost = server.config.cpu.per_node_cost_s
         self._atomic_cost = server.config.cpu.per_node_cost_s / 4
         self._spin_slice = server.config.cpu.spin_wait_slice_s
+        # Decode memo (see module docstring): region offset -> master Node.
+        # ``_memo_generation`` tracks the region's wipe count; a wipe
+        # replaces every page, so the memo is emptied on the next read.
+        self._decode_cache: Dict[int, Node] = {}
+        self._memo_generation = self.region.generation
 
     def _offset(self, raw_ptr: int) -> int:
-        pointer = RemotePointer.from_raw(raw_ptr)
-        if pointer.server_id != self.logical_id:
+        # Inlined RemotePointer.from_raw: the top byte of a non-NULL pointer
+        # is its server id, and a NULL one (bit 63 set) never matches.
+        if raw_ptr >> 56 != self.logical_id or not raw_ptr:
+            pointer = RemotePointer.from_raw(raw_ptr)  # raises on NULL
             raise RemoteAccessError(
                 f"local accessor for logical server {self.logical_id} asked to "
                 f"touch a node on server {pointer.server_id}"
             )
-        return pointer.offset
+        return raw_ptr & _PTR_OFFSET_MASK
 
     def _emit(self, kind: str, verb: str, offset: int, length: int, epoch: int = 0) -> None:
         """Report a region effect to an attached trace sanitizer. The actor
@@ -128,15 +188,23 @@ class LocalAccessor(NodeAccessor):
     ) -> Generator[Any, Any, Node]:
         offset = self._offset(raw_ptr)
         yield self.server.cpu(self._node_cost)
+        region = self.region
+        cache = self._decode_cache
+        if region.generation != self._memo_generation:
+            cache.clear()
+            self._memo_generation = region.generation
         # Zero-copy: decode straight out of the region through a read-only
         # view, consumed before the next simulation yield (holding it longer
         # would block region growth — see MemoryRegion.read_view).
-        view = self.region.read_view(offset, self.page_size)
+        view = region.read_view(offset, self.page_size)
         self._emit("read", "LOCAL_READ", offset, self.page_size)
         try:
-            return Node.from_bytes(view)
+            master = _decode_memoized(cache, offset, view)
         finally:
             view.release()
+        if shared:
+            return master
+        return master.clone()
 
     def write_node(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
         offset = self._offset(raw_ptr)
@@ -203,6 +271,7 @@ class RemoteAccessor(NodeAccessor):
         config,
         alloc_server_id: int = None,
         batch_verbs: bool = None,
+        decode_memo: Optional[Dict[int, Node]] = None,
     ) -> None:
         self.compute_server = compute_server
         self.config = config
@@ -232,17 +301,13 @@ class RemoteAccessor(NodeAccessor):
         self._owner_tag_word = ((compute_server.server_id + 1) & 0xFFFF) << _LOCK_TAG_SHIFT
         #: Lock steals performed by this accessor (lease recovery).
         self.lock_steals = 0
-        # Decode memoization: raw_ptr -> master Node of the last unlocked
-        # page image seen there, keyed by the version word embedded in the
-        # image (pages are bump-allocated and never recycled, and every
-        # mutation bumps the version, so (raw_ptr, even version) names one
-        # page content for the whole run). Purely host-side: the RDMA READ
-        # still happens; only the redundant re-parse of an unchanged image
-        # is skipped. Masters are shared — mutable callers get clones.
-        # Disabled (checked per read) under fault injection or replication,
-        # where observed images may be transient locked/stale states not
-        # worth reasoning about.
-        self._decode_cache: Dict[int, Node] = {}
+        # Decode memo (see module docstring): the compute server's unless
+        # the caller injects its own. Bypassed (checked per read) under
+        # fault injection or replication, where observed images may be
+        # transient locked/stale states not worth reasoning about.
+        self._decode_cache: Dict[int, Node] = (
+            compute_server.decode_memo if decode_memo is None else decode_memo
+        )
 
     def _failover(self, server_id: int, op_factory) -> Generator[Any, Any, Any]:
         """Run ``op_factory()`` with failover-on-retries-exhausted.
@@ -263,18 +328,8 @@ class RemoteAccessor(NodeAccessor):
         )
 
     def _decode_shared(self, raw_ptr: int, data) -> Node:
-        """Decode *data*, reusing the cached master if the image's version
-        word is unchanged. The returned node is shared: callers must treat
-        it as immutable (clone before mutating)."""
-        version = _PEEK_U64(data)[0]
-        cache = self._decode_cache
-        master = cache.get(raw_ptr)
-        if master is not None and master.version == version:
-            return master
-        master = Node.from_bytes(data)
-        if not version & 1:
-            cache[raw_ptr] = master
-        return master
+        """Decode *data* through the memo (see :func:`_decode_memoized`)."""
+        return _decode_memoized(self._decode_cache, raw_ptr, data)
 
     def read_node(
         self, raw_ptr: int, shared: bool = False
@@ -334,7 +389,9 @@ class RemoteAccessor(NodeAccessor):
         sim = self.compute_server.sim
         raw_ptrs = list(raw_ptrs)
         if not self._batching or len(raw_ptrs) < 2:
-            pending = [sim.process(self.read_node(raw)) for raw in raw_ptrs]
+            pending = [
+                sim.process(self.read_node(raw, shared=True)) for raw in raw_ptrs
+            ]
             nodes = yield sim.all_of(pending)
             return nodes
         by_server: dict = {}

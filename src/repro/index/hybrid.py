@@ -62,7 +62,9 @@ def _tree(server: MemoryServer, index_name: str, partition: int) -> BLinkTree:
 
 def _handle_traverse(server: MemoryServer, msg: rpc.TraverseRequest):
     tree = _tree(server, msg.index, msg.partition)
-    _ptr, node = yield from tree._descend_to_level(msg.key, 1)
+    # Read-only: the level-1 node is only searched, so take the memoized
+    # masters instead of cloning every inner node on the way down.
+    _ptr, node = yield from tree._descend_to_level(msg.key, 1, shared=True)
     response = rpc.PointerResponse(node.find_child(msg.key))
     return response, response.wire_bytes
 

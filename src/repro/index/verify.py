@@ -174,29 +174,34 @@ def _walk_tree(
 
 
 def _client_trees(index, compute_server) -> List[Tuple[str, Any]]:
-    """One-sided client-side tree handles covering every page of *index*."""
+    """One-sided client-side tree handles covering every page of *index*.
+
+    Their accessors bypass the compute server's decode memo, so every
+    check runs on a decode of the bytes just read (an in-place corruption
+    keeps the version word a memo would match on)."""
     from repro.btree.algorithm import BLinkTree
-    from repro.index.accessors import RemoteAccessor, RemoteRootRef
+    from repro.index.accessors import NoDecodeMemo, RemoteAccessor, RemoteRootRef
 
     config = index.cluster.config
     if index.design == "fine-grained":
-        return [("fine-grained", index.tree_for(compute_server))]
-    trees = []
-    for server_id, location in sorted(index.roots.items()):
-        accessor = RemoteAccessor(compute_server, config)
-        root = RemoteRootRef(compute_server, location)
-        trees.append(
-            (
-                f"{index.design} partition {server_id}",
-                BLinkTree(
-                    accessor,
-                    root,
-                    use_head_nodes=getattr(index, "use_head_nodes", False),
-                    prefetch_window=config.tree.prefetch_window,
-                ),
-            )
+        roots = [("fine-grained", index.root_location)]
+    else:
+        roots = [
+            (f"{index.design} partition {server_id}", location)
+            for server_id, location in sorted(index.roots.items())
+        ]
+    return [
+        (
+            label,
+            BLinkTree(
+                RemoteAccessor(compute_server, config, decode_memo=NoDecodeMemo()),
+                RemoteRootRef(compute_server, location),
+                use_head_nodes=getattr(index, "use_head_nodes", False),
+                prefetch_window=config.tree.prefetch_window,
+            ),
         )
-    return trees
+        for label, location in roots
+    ]
 
 
 def _orphan_accounting(

@@ -3,12 +3,13 @@
 A compute server hosts client threads (the paper's "clients": 40 per
 compute server) and owns one NIC port plus a reliable-connection queue pair
 to every memory server. Index *sessions* created on a compute server issue
-their RDMA operations through these queue pairs.
+their RDMA operations through these queue pairs, and share one decode memo
+(see :attr:`ComputeServer.decode_memo`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List
 
 from repro.errors import NetworkError
 from repro.nam.machine import PhysicalMachine
@@ -42,6 +43,11 @@ class ComputeServer:
         #: leases are enabled only while one is attached).
         self.fabric = fabric
         self._colocated = colocated
+        #: raw_ptr -> master decode of the last unlocked page image read
+        #: there, shared by the :class:`~repro.index.accessors.RemoteAccessor`
+        #: of every session hosted here (one parse per page version per
+        #: peer, not per client thread). Holds at most one node per page.
+        self.decode_memo: Dict[int, Any] = {}
         self._qps: Dict[int, QueuePair] = {}
         for server in memory_servers:
             local = colocated and server.machine is machine

@@ -50,6 +50,9 @@ class MemoryRegion:
         # :meth:`read_view` is a slice of it (one allocation instead of
         # three). Released before any growth — see :meth:`_ensure`.
         self._view: memoryview = None
+        #: Bumped by :meth:`wipe`. Readers that memoize decoded pages by
+        #: offset compare it to notice the content was replaced wholesale.
+        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -72,6 +75,7 @@ class MemoryRegion:
         """Zero the buffer in place (a destructive crash). Mirror links are
         managed by the caller; the buffer keeps its current length."""
         self._buf[:] = bytes(len(self._buf))
+        self.generation += 1
 
     def _ensure(self, end: int) -> None:
         if end <= len(self._buf):

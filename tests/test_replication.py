@@ -34,7 +34,7 @@ from repro import (
 from repro.errors import ConfigurationError
 from repro.nam.allocator import PageAllocator
 from repro.rdma.memory import MemoryRegion
-from repro.workloads import generate_dataset
+from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
 
 DESIGNS = ("coarse-grained", "fine-grained", "hybrid")
 
@@ -395,22 +395,57 @@ def test_verifier_passes_on_healthy_index(design):
 
 
 def test_verifier_detects_corruption():
-    cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=17))
-    dataset = generate_dataset(700, gap=4)
-    index = FineGrainedIndex.build(cluster, "idx", dataset.pairs())
-    tree = index.tree_for(cluster.new_compute_server())
-    # Swap two keys in a leaf so its entries are no longer sorted.
+    """Swap two keys of a leaf in place under every design. The corruption
+    keeps the page's version word, so a decode memo keyed on it keeps
+    serving the node decoded before. A warm-up workload fills every memo
+    first; the verifier must decode the bytes it reads and still report
+    the unsorted leaf."""
     from repro.btree.node import Node
     from repro.btree.pointers import RemotePointer
 
-    raw_ptr, _ = cluster.execute(tree._descend_to_level(dataset.key_at(0), 0))
-    pointer = RemotePointer.from_raw(raw_ptr)
-    page_size = cluster.config.tree.page_size
-    region = cluster.memory_server(pointer.server_id).region
-    node = Node.from_bytes(region.read(pointer.offset, page_size))
-    assert node.count >= 2
-    node.keys[0], node.keys[1] = node.keys[1], node.keys[0]
-    region.write(pointer.offset, node.to_bytes(page_size))
-    report = verify_index(cluster, index)
-    assert not report.ok
-    assert any("sorted" in violation for violation in report.violations)
+    warm = WorkloadSpec(
+        name="warm", point_fraction=0.8, range_fraction=0.2, selectivity=0.01
+    )
+    for design in DESIGNS:
+        cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=17))
+        dataset = generate_dataset(700, gap=4)
+        index = _build(design, cluster, dataset.pairs(), dataset.key_space)
+        WorkloadRunner(cluster, dataset).run(
+            index, warm, num_clients=8, warmup_s=0.0005, measure_s=0.001, seed=3
+        )
+        compute = cluster.compute_servers[0]
+        key = dataset.key_at(0)
+        partition = getattr(index, "partitioner", None)
+        partition = partition.server_for_key(key) if partition else None
+        if design == "coarse-grained":
+            tree = index.local_tree(partition)
+            memo = tree.acc._decode_cache
+        else:
+            tree = (
+                index.tree_for(compute)
+                if design == "fine-grained"
+                else index.gc_tree(compute, partition)
+            )
+            memo = compute.decode_memo
+        raw_ptr, leaf = cluster.execute(
+            tree._descend_to_level(key, 0, shared=True)
+        )
+        pointer = RemotePointer.from_raw(raw_ptr)
+        memo_key = pointer.offset if design == "coarse-grained" else raw_ptr
+        assert memo[memo_key] is leaf, design
+
+        page_size = cluster.config.tree.page_size
+        region = cluster.memory_server(pointer.server_id).region
+        node = Node.from_bytes(region.read(pointer.offset, page_size))
+        assert node.count >= 2
+        node.keys[0], node.keys[1] = node.keys[1], node.keys[0]
+        region.write(pointer.offset, node.to_bytes(page_size))
+        report = verify_index(cluster, index)
+        assert not report.ok, design
+        assert any("sorted" in v for v in report.violations), (
+            design,
+            report.violations,
+        )
+        # The memo still holds the pre-corruption decode: only the
+        # verifier's own decode could have seen the swap.
+        assert memo[memo_key] is leaf and leaf.keys == sorted(leaf.keys)
