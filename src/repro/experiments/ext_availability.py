@@ -56,8 +56,9 @@ class AvailabilityResult:
     pre_crash_throughput: float
     #: Lowest bucket throughput observed after the crash.
     dip_throughput: float
-    #: Seconds from the crash until a bucket regains RECOVERY_FRACTION of
-    #: the pre-crash rate (inf = never within the window).
+    #: Seconds from the crash until the first bucket after the post-crash
+    #: minimum regains RECOVERY_FRACTION of the pre-crash rate (0 = no
+    #: bucket fell below it, inf = never within the window).
     recovery_time_s: float
     #: Ops/s at replication factor 1 / factor 2 on a healthy cluster.
     unreplicated_throughput: float
@@ -95,6 +96,31 @@ def _bucket_throughput(
             continue
         counts[min(_BUCKETS - 1, int((op_end - start) / width))] += 1
     return [(start + i * width, counts[i] / width) for i in range(_BUCKETS)]
+
+
+def _recovery_time(
+    post: List[Tuple[float, float]], crash_at: float, pre_rate: float
+) -> float:
+    """Seconds from *crash_at* until throughput is back after the dip.
+
+    *post* holds the ``(bucket_start, ops/s)`` buckets that start at or
+    after the crash. The search starts at the post-crash minimum (the
+    dip), since buckets just after the crash can still hold the
+    completions of operations that were in flight when it hit. Returns
+    0.0 when no bucket ever fell below ``RECOVERY_FRACTION`` of
+    *pre_rate*, and inf when the window ends before recovery.
+    """
+    if pre_rate <= 0 or not post:
+        return float("inf")
+    threshold = RECOVERY_FRACTION * pre_rate
+    rates = [rate for _at, rate in post]
+    lowest = rates.index(min(rates))
+    if rates[lowest] >= threshold:
+        return 0.0
+    for at, rate in post[lowest + 1:]:
+        if rate >= threshold:
+            return at - crash_at
+    return float("inf")
 
 
 def _healthy_throughput(
@@ -185,11 +211,7 @@ def _availability_cell(
     pre_rate = sum(pre) / len(pre) if pre else 0.0
     post = [(at, rate) for at, rate in buckets if at >= crash_at]
     dip = min((rate for _at, rate in post), default=0.0)
-    recovery = float("inf")
-    for at, rate in post:
-        if pre_rate > 0 and rate >= RECOVERY_FRACTION * pre_rate:
-            recovery = max(0.0, at - crash_at)
-            break
+    recovery = _recovery_time(post, crash_at, pre_rate)
 
     report = verify_index(cluster, index)
     if artifacts is not None:

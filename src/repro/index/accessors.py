@@ -75,7 +75,6 @@ from repro.nam.allocator import ALLOC_WORD_OFFSET
 from repro.nam.catalog import RootLocation
 from repro.nam.compute_server import ComputeServer
 from repro.nam.memory_server import MemoryServer
-from repro.nam.replication import failover_retry
 
 __all__ = [
     "LocalAccessor",
@@ -309,72 +308,45 @@ class RemoteAccessor(NodeAccessor):
             compute_server.decode_memo if decode_memo is None else decode_memo
         )
 
-    def _failover(self, server_id: int, op_factory) -> Generator[Any, Any, Any]:
-        """Run ``op_factory()`` with failover-on-retries-exhausted.
-
-        Without a replication manager this is a plain delegation (zero
-        extra simulation events). With one, a
-        :class:`~repro.errors.RetriesExhaustedError` triggers a consult of
-        the directory epoch — and a backup promotion if this client is the
-        first to notice the crash — before the operation is retried
-        against the re-routed queue pair. ``op_factory`` must resolve its
-        queue pair via :meth:`ComputeServer.qp` on every call so the
-        retry lands on the new primary.
-        """
-        if self.compute_server.fabric.replication is None:
-            return (yield from op_factory())
-        return (
-            yield from failover_retry(self.compute_server, server_id, op_factory)
-        )
-
     def _decode_shared(self, raw_ptr: int, data) -> Node:
         """Decode *data* through the memo (see :func:`_decode_memoized`)."""
         return _decode_memoized(self._decode_cache, raw_ptr, data)
 
+    def _decode(self, raw_ptr: int, data, shared: bool = True) -> Node:
+        """Decode a fetched page image.
+
+        The memo is used only while neither a fault injector nor
+        replication is attached, where every image comes from the
+        fault-free fast path; it hands read-only (*shared*) callers the
+        memoized master and everyone else a private clone. Otherwise each
+        image is parsed on its own, already private to the caller.
+        """
+        fabric = self.compute_server.fabric
+        if fabric.injector is not None or fabric.replication is not None:
+            return Node.from_bytes(data)
+        master = self._decode_shared(raw_ptr, data)
+        return master if shared else master.clone()
+
     def read_node(
         self, raw_ptr: int, shared: bool = False
     ) -> Generator[Any, Any, Node]:
+        # The pointer decode is inlined (RemotePointer.from_raw without
+        # the tuple).
+        if raw_ptr == 0 or raw_ptr & NULL_RAW:
+            raise RemoteAccessError("cannot decode a NULL remote pointer")
         compute = self.compute_server
-        fabric = compute.fabric
-        if fabric.replication is None:
-            # Hot path: no failover wrapper, no op closure — drive the
-            # queue pair's READ generator directly. The pointer decode is
-            # inlined (RemotePointer.from_raw without the tuple).
-            if raw_ptr == 0 or raw_ptr & NULL_RAW:
-                raise RemoteAccessError("cannot decode a NULL remote pointer")
-            if fabric.injector is None:
-                # Zero-copy fetch: the view aliases the live region, so it
-                # is decoded immediately — before the search-cost yield,
-                # during which a concurrent writer could change the page —
-                # and dropped. The decode input is exactly the bytes a
-                # copying READ would have returned.
-                data = yield from compute.qp((raw_ptr >> 56) & 0x7F).read_view(
-                    raw_ptr & _PTR_OFFSET_MASK, self.page_size
-                )
-                master = self._decode_shared(raw_ptr, data)
-                data = None
-                yield compute.sim.timeout(self._search_cost)
-                if shared:
-                    # Read-only traversals take the memoized master as-is.
-                    return master
-                # Mutating callers (insert/update/delete descents) get a
-                # private clone of the memoized decode.
-                return master.clone()
-            data = yield from compute.qp((raw_ptr >> 56) & 0x7F).read(
-                raw_ptr & _PTR_OFFSET_MASK, self.page_size
-            )
-            yield compute.sim.timeout(self._search_cost)
-            return Node.from_bytes(data)
-        else:
-            pointer = RemotePointer.from_raw(raw_ptr)
-
-            def op() -> Generator[Any, Any, bytes]:
-                qp = compute.qp(pointer.server_id)
-                return (yield from qp.read(pointer.offset, self.page_size))
-
-            data = yield from failover_retry(compute, pointer.server_id, op)
+        # Zero-copy fetch on the fault-free path: the view aliases the
+        # live region, so it is decoded immediately — before the
+        # search-cost yield, during which a concurrent writer could change
+        # the page — and dropped. The decode input is exactly the bytes a
+        # copying READ would have returned.
+        data = yield from compute.qp((raw_ptr >> 56) & 0x7F).read_view(
+            raw_ptr & _PTR_OFFSET_MASK, self.page_size
+        )
+        node = self._decode(raw_ptr, data, shared)
+        data = None
         yield compute.sim.timeout(self._search_cost)
-        return Node.from_bytes(data)
+        return node
 
     def read_nodes(self, raw_ptrs) -> Generator[Any, Any, List[Node]]:
         """Fetch several nodes at once (head-node prefetch fan-out).
@@ -402,41 +374,24 @@ class RemoteAccessor(NodeAccessor):
             )
         nodes: List[Node] = [None] * len(raw_ptrs)
         compute = self.compute_server
-        fabric = compute.fabric
         page_size = self.page_size
         max_wqes = self._max_wqes
         search_cost = self._search_cost
         # Prefetched nodes feed read-only scan consumers, so memoized
-        # masters are handed out without cloning (see _decode_shared).
-        memoize = fabric.injector is None and fabric.replication is None
-        decode = self._decode_shared
-        from_bytes = Node.from_bytes
+        # masters are handed out without cloning.
+        decode = self._decode
 
         def read_group(server_id, members) -> Generator[Any, Any, None]:
             for start in range(0, len(members), max_wqes):
                 chunk = members[start : start + max_wqes]
-                if fabric.replication is None:
-                    batch = compute.qp(server_id).batch()
-                    batch_read = batch.read
-                    for _slot, offset in chunk:
-                        batch_read(offset, page_size)
-                    pages = yield from batch.execute()
-                else:
-                    def op(chunk=chunk) -> Generator[Any, Any, list]:
-                        qp = compute.qp(server_id)
-                        batch = qp.batch()
-                        for _slot, offset in chunk:
-                            batch.read(offset, page_size)
-                        return (yield from batch.execute())
-
-                    pages = yield from failover_retry(compute, server_id, op)
+                batch = compute.qp(server_id).batch()
+                batch_read = batch.read
+                for _slot, offset in chunk:
+                    batch_read(offset, page_size)
+                pages = yield from batch.execute()
                 yield sim.timeout(search_cost * len(chunk))
-                if memoize:
-                    for (slot, _offset), data in zip(chunk, pages):
-                        nodes[slot] = decode(raw_ptrs[slot], data)
-                else:
-                    for (slot, _offset), data in zip(chunk, pages):
-                        nodes[slot] = from_bytes(data)
+                for (slot, _offset), data in zip(chunk, pages):
+                    nodes[slot] = decode(raw_ptrs[slot], data)
 
         pending = [
             sim.process(read_group(server_id, members))
@@ -455,44 +410,23 @@ class RemoteAccessor(NodeAccessor):
         means the image must be refetched.
         """
         pointer = RemotePointer.from_raw(raw_ptr)
-
-        def op() -> Generator[Any, Any, bytes]:
-            qp = self.compute_server.qp(pointer.server_id)
-            return (yield from qp.read(pointer.offset, 8))
-
-        data = yield from self._failover(pointer.server_id, op)
+        qp = self.compute_server.qp(pointer.server_id)
+        data = yield from qp.read(pointer.offset, 8)
         return int.from_bytes(data, "little")
 
     def write_node(self, raw_ptr: int, node: Node) -> Generator[Any, Any, None]:
         pointer = RemotePointer.from_raw(raw_ptr)
         data = node.to_bytes(self.page_size)
-
-        def op() -> Generator[Any, Any, None]:
-            qp = self.compute_server.qp(pointer.server_id)
-            yield from qp.write(pointer.offset, data)
-
-        yield from self._failover(pointer.server_id, op)
+        yield from self.compute_server.qp(pointer.server_id).write(
+            pointer.offset, data
+        )
 
     def try_lock(self, raw_ptr: int, version: int) -> Generator[Any, Any, bool]:
         pointer = RemotePointer.from_raw(raw_ptr)
-        compute = self.compute_server
         locked_word = version | 1 | self._owner_tag_word
-        if compute.fabric.replication is None:
-            swapped, _old = yield from compute.qp(
-                pointer.server_id
-            ).compare_and_swap(pointer.offset, version, locked_word)
-        else:
-            def op() -> Generator[Any, Any, Any]:
-                qp = compute.qp(pointer.server_id)
-                return (
-                    yield from qp.compare_and_swap(
-                        pointer.offset, version, locked_word
-                    )
-                )
-
-            swapped, _old = yield from failover_retry(
-                compute, pointer.server_id, op
-            )
+        swapped, _old = yield from self.compute_server.qp(
+            pointer.server_id
+        ).compare_and_swap(pointer.offset, version, locked_word)
         obs = self.obs
         if obs is not None:
             if swapped:
@@ -508,68 +442,26 @@ class RemoteAccessor(NodeAccessor):
         pointer = RemotePointer.from_raw(raw_ptr)
         node.version |= 1
         data = node.to_bytes(self.page_size)
-
+        compute = self.compute_server
         if self._batching:
             # One doorbell: the page WRITE and the releasing FAA travel in
             # a single chain. RC in-order execution applies the write
             # before the version bump, so the unlock is still a release
             # store — and the two round trips collapse into one.
-            compute = self.compute_server
-            fabric = compute.fabric
-            if fabric.replication is None:
-                if fabric.injector is None:
-                    # Hottest chain of every write workload: skip the
-                    # VerbBatch staging and drive the specialized
-                    # WRITE+FAA generator (same wire accounting).
-                    yield from compute.qp(pointer.server_id).write_faa_chain(
-                        pointer.offset, data
-                    )
-                    return
-                batch = compute.qp(pointer.server_id).batch()
-                batch.write(pointer.offset, data)
-                batch.fetch_and_add(pointer.offset, 1)
-                yield from batch.execute()
-                return
-
-            def batch_op() -> Generator[Any, Any, list]:
-                qp = compute.qp(pointer.server_id)
-                batch = qp.batch()
-                batch.write(pointer.offset, data)
-                batch.fetch_and_add(pointer.offset, 1)
-                return (yield from batch.execute())
-
-            yield from failover_retry(compute, pointer.server_id, batch_op)
+            yield from compute.qp(pointer.server_id).write_faa_chain(
+                pointer.offset, data
+            )
             return
-
-        def write_op() -> Generator[Any, Any, None]:
-            qp = self.compute_server.qp(pointer.server_id)
-            yield from qp.write(pointer.offset, data)
-
-        def faa_op() -> Generator[Any, Any, int]:
-            qp = self.compute_server.qp(pointer.server_id)
-            return (yield from qp.fetch_and_add(pointer.offset, 1))
-
-        yield from self._failover(pointer.server_id, write_op)
-        yield from self._failover(pointer.server_id, faa_op)
+        yield from compute.qp(pointer.server_id).write(pointer.offset, data)
+        yield from compute.qp(pointer.server_id).fetch_and_add(pointer.offset, 1)
 
     def unlock_nochange(self, raw_ptr: int) -> Generator[Any, Any, None]:
         # Single FAA that increments the version *and* subtracts our owner
         # tag (mod 2**64), restoring a clean even word in one atomic.
         pointer = RemotePointer.from_raw(raw_ptr)
-        compute = self.compute_server
-        if compute.fabric.replication is None:
-            yield from compute.qp(pointer.server_id).fetch_and_add(
-                pointer.offset, 1 - self._owner_tag_word
-            )
-            return
-
-        def op() -> Generator[Any, Any, int]:
-            qp = compute.qp(pointer.server_id)
-            return (
-                yield from qp.fetch_and_add(pointer.offset, 1 - self._owner_tag_word)
-            )
-
-        yield from failover_retry(compute, pointer.server_id, op)
+        yield from self.compute_server.qp(pointer.server_id).fetch_and_add(
+            pointer.offset, 1 - self._owner_tag_word
+        )
 
     def alloc(self, level: int) -> Generator[Any, Any, int]:
         if self._alloc_pinned is not None:
@@ -578,11 +470,9 @@ class RemoteAccessor(NodeAccessor):
             server_id = self._alloc_counter % self.compute_server.num_memory_servers
             self._alloc_counter += 1
 
-        def op() -> Generator[Any, Any, int]:
-            qp = self.compute_server.qp(server_id)
-            return (yield from qp.fetch_and_add(ALLOC_WORD_OFFSET, self.page_size))
-
-        offset = yield from self._failover(server_id, op)
+        offset = yield from self.compute_server.qp(server_id).fetch_and_add(
+            ALLOC_WORD_OFFSET, self.page_size
+        )
         return encode_pointer(server_id, offset)
 
     def spin_pause(self) -> Generator[Any, Any, None]:
@@ -619,15 +509,9 @@ class RemoteAccessor(NodeAccessor):
         pointer = RemotePointer.from_raw(raw_ptr)
         stolen_word = ((observed_word & _LOCK_VERSION_MASK) & ~1) + 2
 
-        def op() -> Generator[Any, Any, Any]:
-            qp = self.compute_server.qp(pointer.server_id)
-            return (
-                yield from qp.compare_and_swap(
-                    pointer.offset, observed_word, stolen_word
-                )
-            )
-
-        swapped, _old = yield from self._failover(pointer.server_id, op)
+        swapped, _old = yield from self.compute_server.qp(
+            pointer.server_id
+        ).compare_and_swap(pointer.offset, observed_word, stolen_word)
         if swapped:
             self.lock_steals += 1
             injector = self.compute_server.fabric.injector
@@ -710,21 +594,10 @@ class RemoteRootRef(RootRef):
             return self._cached
         return (yield from self.refresh())
 
-    def _failover(self, op_factory) -> Generator[Any, Any, Any]:
-        if self.compute_server.fabric.replication is None:
-            return (yield from op_factory())
-        return (
-            yield from failover_retry(
-                self.compute_server, self.location.server_id, op_factory
-            )
-        )
-
     def refresh(self) -> Generator[Any, Any, int]:
-        def op() -> Generator[Any, Any, bytes]:
-            qp = self.compute_server.qp(self.location.server_id)
-            return (yield from qp.read(self.location.offset, 8))
-
-        data = yield from self._failover(op)
+        location = self.location
+        qp = self.compute_server.qp(location.server_id)
+        data = yield from qp.read(location.offset, 8)
         raw = int.from_bytes(data, "little")
         if raw == 0:
             raise CatalogError("root pointer word is uninitialized")
@@ -732,12 +605,8 @@ class RemoteRootRef(RootRef):
         return raw
 
     def compare_and_swap(self, old: int, new: int) -> Generator[Any, Any, bool]:
-        def op() -> Generator[Any, Any, Any]:
-            qp = self.compute_server.qp(self.location.server_id)
-            return (
-                yield from qp.compare_and_swap(self.location.offset, old, new)
-            )
-
-        swapped, current = yield from self._failover(op)
+        location = self.location
+        qp = self.compute_server.qp(location.server_id)
+        swapped, current = yield from qp.compare_and_swap(location.offset, old, new)
         self._cached = new if swapped else current
         return swapped

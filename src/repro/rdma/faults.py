@@ -230,7 +230,7 @@ class FaultInjector:
         """
         if not self._messages_faulty():
             return False
-        p = max(self._drop_probability(verb, server_id) for verb in verbs)
+        p = max([self._drop_probability(verb, server_id) for verb in verbs])
         if p <= 0.0:
             return False
         if self.rng.random() < p:

@@ -25,7 +25,9 @@ class NicPort:
     a single verb or a doorbell batch of several work-queue entries —
     rings the doorbell once (:meth:`ring_doorbell`). ``wqes_posted /
     doorbells`` is therefore the achieved batching factor, the number the
-    batching benchmark and tests assert on.
+    batching benchmark and tests assert on. Every posted entry either
+    completes or, when its chain exhausts its retries, is counted in
+    ``wqes_failed`` (a failover re-issue posts the entries again).
     """
 
     def __init__(self, sim: Simulator, config: NetworkConfig, label: str) -> None:
@@ -40,6 +42,8 @@ class NicPort:
         self.doorbells = 0
         #: Work-queue entries those doorbells flushed.
         self.wqes_posted = 0
+        #: Posted entries whose chain gave up after its last retry.
+        self.wqes_failed = 0
 
     def ring_doorbell(self, wqes: int = 1) -> None:
         """Account one doorbell write flushing *wqes* work-queue entries."""

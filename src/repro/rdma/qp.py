@@ -23,24 +23,33 @@ signaled), one response/completion message for the whole batch. Per-message
 fixed costs are paid once per leg instead of once per verb; effects apply
 in posting order. See docs/performance.md.
 
-Fault handling: while a :class:`~repro.rdma.faults.FaultInjector` is
-attached to the fabric, every non-local verb runs an attempt loop governed
-by :class:`~repro.config.RetryConfig` — a lost request or response is
+Fault handling: every verb runs one attempt loop (:meth:`QueuePair._post`
+for one-sided verbs and batches, :meth:`QueuePair.call` for RPCs). With no
+:class:`~repro.rdma.faults.FaultInjector` attached the loop runs once and
+always delivers. With one, a non-local verb is governed by
+:class:`~repro.config.RetryConfig` — a lost request or response is
 detected after ``timeout_s``, retried with exponential backoff and
-deterministic jitter, and surfaces
-:class:`~repro.errors.RetriesExhaustedError` once the budget is spent. The
+deterministic jitter, and the verb gives up once the budget is spent. The
 modeled transport behaves like InfiniBand RC with responder-side duplicate
 detection: a verb's memory effect is applied *at most once* per logical
 operation (retries replay the first outcome, mirroring the NIC's atomic
 response cache / PSN dedup), and two-sided requests carry sequence numbers
-the server uses to replay — never re-execute — duplicated handlers. With no
-injector attached, none of this code runs and behavior is identical to a
-fault-free build.
+the server uses to replay — never re-execute — duplicated handlers.
+
+Failover: a verb that gives up on a replicated cluster asks the
+:class:`~repro.nam.replication.ReplicationManager` whether the route
+changed since the verb started (promoting a backup if the primary is
+down), and if so re-issues itself through its owning compute server's
+re-routed queue pair. Otherwise it raises
+:class:`~repro.errors.RetriesExhaustedError`. Callers never branch on
+faults or replication: the two fault-free fast paths,
+:meth:`QueuePair.read_view` and :meth:`QueuePair.write_faa_chain`, fall
+back to the attempt loop themselves while either is attached.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -123,16 +132,19 @@ class QueuePair:
         use_local_fast_path: bool = False,
         region: Any = None,
         logical_id: int = None,
-        client_id: int = None,
+        owner: Any = None,
     ) -> None:
         self.sim = sim
         self.fabric = fabric
         self.local_port = local_port
         self.remote = remote_server
         self.is_local = use_local_fast_path
+        #: Owning compute server: re-routes this QP's verbs after a
+        #: failover (None for anonymous QPs, e.g. in unit tests).
+        self.owner = owner
         #: Owning compute server's id, naming this QP's actor in sanitizer
-        #: traces (None for anonymous QPs, e.g. in unit tests).
-        self.client_id = client_id
+        #: traces.
+        self.client_id = owner.server_id if owner is not None else None
         # Replication indirection: verbs address the *logical* server's
         # authoritative region, which after a failover may live on a
         # different physical host than ``remote_server`` originally did.
@@ -226,9 +238,9 @@ class QueuePair:
     # -- sanitizer-visible region effects -------------------------------------
     #
     # All four one-sided verbs apply their memory effect through these
-    # wrappers, on the fast path and inside the fault-injected attempt
-    # loop alike, so an attached trace sanitizer sees every effect exactly
-    # once — at the simulated instant it hits the region. Kind strings
+    # wrappers, on the fast paths and inside the attempt loop alike, so
+    # an attached trace sanitizer sees every effect exactly once — at the
+    # simulated instant it hits the region. Kind strings
     # match repro.analysis.namsan.events (kept literal to avoid an
     # rdma -> analysis import).
 
@@ -269,120 +281,191 @@ class QueuePair:
         self._emit("atomic", "FETCH_ADD", offset, 8, epoch=old)
         return old
 
-    def _mirror(self, payload_bytes: int) -> Generator[Any, Any, None]:
-        """Replication fan-out after a mutating verb's primary effect: one
-        leg per live backup, charged before the client's completion.
-        A falsy no-op unless a replication manager is attached."""
-        replication = self.fabric.replication
-        if replication is not None and payload_bytes:
-            yield from replication.mirror_legs(self.logical_id, payload_bytes)
+    def _apply(self, op: Tuple) -> Any:
+        """Run one work-queue entry's memory effect (see :class:`VerbBatch`
+        for the ``(verb, payload_bytes, offset, arg)`` encoding)."""
+        verb, length, offset, arg = op
+        if verb is Verb.READ:
+            return self._apply_read(offset, length)
+        if verb is Verb.WRITE:
+            return self._apply_write(offset, arg)
+        if verb is Verb.CAS:
+            return self._apply_cas(offset, arg[0], arg[1])
+        return self._apply_faa(offset, arg)
 
-    def _faulty_onesided(
+    def _apply_effects(
+        self, ops: List[Tuple], results: List[Any]
+    ) -> Generator[Any, Any, None]:
+        """Apply every entry whose result is still unknown, in posting
+        order, each followed by its replication fan-out (one leg per live
+        backup, charged before the client's completion). Entries that
+        already ran keep their first outcome: RC duplicate suppression."""
+        replication = self.fabric.replication
+        for i, op in enumerate(ops):
+            if results[i] is not _UNSET:
+                continue
+            result = results[i] = self._apply(op)
+            if replication is not None:
+                verb = op[0]
+                if verb is Verb.READ or (verb is Verb.CAS and not result[0]):
+                    continue
+                yield from replication.mirror_legs(self.logical_id, op[1])
+
+    def _rerouted(self, epoch: int) -> Optional["QueuePair"]:
+        """A verb on this queue pair exhausted its retries. Returns the
+        queue pair to re-issue it on, or None to give up.
+
+        Only a replicated cluster fails over: the replication manager
+        compares *epoch* (the directory epoch read at verb entry) with the
+        current one and promotes a backup if the primary host is down.
+        On a route change the owning compute server re-resolves the
+        logical server to its new host.
+        """
+        replication = self.fabric.replication
+        if (
+            replication is None
+            or self.owner is None
+            or not replication.handle_failure(self.logical_id, epoch)
+        ):
+            return None
+        return self.owner.qp(self.logical_id)
+
+    def _post(
         self,
-        verb: Verb,
-        payload_bytes: int,
+        ops: List[Tuple],
         request_bytes: int,
         response_bytes: int,
-        effect: Callable[[], Any],
-        atomic: bool = False,
-        mirror_bytes: Callable[[Any], int] = None,
+        atomics: int,
+        batched: bool = False,
     ) -> Generator[Any, Any, Any]:
-        """Attempt loop for a non-local one-sided verb under fault injection.
+        """The attempt loop behind every one-sided verb and doorbell batch.
 
-        *effect* applies the verb against the remote region; it runs when
-        the first request is delivered and never again (RC duplicate
-        suppression), so retries only re-learn the cached outcome.
-        ``mirror_bytes(result)`` sizes the replication fan-out of a
-        mutating verb (0/None for reads and failed CASes); like the
-        effect, the fan-out happens exactly once, right after the effect
-        and before the response leg — primary-then-backup ordering.
+        *ops* is the chain of work-queue entries (see :class:`VerbBatch`);
+        a single verb is an unbatched one-entry chain with no batch id.
+        Returns a batch's per-entry results in posting order, or a single
+        verb's result.
+
+        Without a fault injector, and always on the local fast path, the
+        loop runs once and always delivers; effects and mirror legs land
+        after the response leg. With one, a lost request or response is
+        detected after ``timeout_s`` and retried with backoff. Effects and
+        mirror legs then land when the request is first delivered, so a
+        lost response cannot undo them, and retries re-learn the cached
+        results. A chain's request and response legs each take one
+        delivery draw at its most fault-prone member's probability. When
+        the budget is spent the chain is re-issued on the re-routed queue
+        pair if the cluster fails over (:meth:`_rerouted`), else it raises
+        :class:`~repro.errors.RetriesExhaustedError`.
         """
-        injector = self.fabric.injector
-        retry = injector.retry
-        config = self.fabric.config
+        fabric = self.fabric
+        sim = self.sim
+        local = self.is_local
+        if not local:
+            self.local_port.ring_doorbell(len(ops))
+            if batched and fabric.obs is not None:
+                fabric.obs.batch_executed(self.remote.server_id, len(ops))
+        batch_id = fabric.next_batch_id() if batched else None
+        replication = fabric.replication
+        epoch = replication.epoch if replication is not None else 0
+        injector = None if local else fabric.injector
+        if injector is None:
+            attempts = 1
+        else:
+            attempts = injector.retry.max_attempts
+            verbs = [op[0] for op in ops]
         server_id = self.remote.server_id
-        started_at = self.sim.now
-        result: Any = _UNSET
-        last_attempt = retry.max_attempts - 1
-        for attempt in range(retry.max_attempts):
-            self.remote.stats.record(verb, payload_bytes)
-            yield from self._request_leg(request_bytes)
-            if injector.should_duplicate(verb, server_id):
-                # The NIC discards the duplicate; it only burns RX bandwidth.
-                self.remote.port.rx.reserve(
-                    request_bytes + config.header_wire_bytes
-                )
-            delivered = not injector.server_down(server_id) and not (
-                injector.should_drop(verb, server_id)
-            )
-            if delivered:
-                if result is _UNSET:
-                    result = effect()
-                    if mirror_bytes is not None:
-                        yield from self._mirror(mirror_bytes(result))
-                if atomic:
-                    yield self.sim.timeout(config.atomic_extra_latency_s)
-                delay = injector.extra_delay(verb, server_id)
-                if delay > 0.0:
-                    yield self.sim.timeout(delay)
-                yield from self._response_leg(response_bytes)
-                if not injector.server_down(server_id) and not (
-                    injector.should_drop(verb, server_id)
+        record = self._rstats.record
+        started_at = sim.now
+        results: List[Any] = [_UNSET] * len(ops)
+        for attempt in range(attempts):
+            for op in ops:
+                record(op[0], op[1])
+            if local:
+                yield from fabric.local_copy(sum(op[1] for op in ops))
+            else:
+                yield from self._request_leg(request_bytes)
+            if injector is not None:
+                if injector.should_duplicate(verbs[0], server_id):
+                    # The NIC discards the duplicate; it only burns RX bandwidth.
+                    self._rrx.reserve(request_bytes + self._header_wire)
+                if injector.server_down(server_id) or injector.should_drop_batch(
+                    verbs, server_id
                 ):
-                    self._trace(verb, payload_bytes, started_at)
-                    return result
-            # The request or response was lost: wait out the detection
-            # timeout, then back off before the next attempt.
-            obs = self.fabric.obs
-            if obs is not None:
-                obs.attempt_failed(verb, server_id, retried=attempt < last_attempt)
-            wait_start = self.sim.now
-            yield self.sim.timeout(retry.timeout_s)
-            if attempt < last_attempt:
-                yield self.sim.timeout(injector.backoff_delay(attempt))
-            if obs is not None:
-                obs.stamp("client_backoff", wait_start, self.sim.now)
-        raise RetriesExhaustedError(
-            f"{verb.value} to memory server {server_id} gave up after "
-            f"{retry.max_attempts} attempts"
+                    yield from self._attempt_lost(injector, verbs[0], attempt)
+                    continue
+                yield from self._apply_effects(ops, results)
+            if atomics and not local:
+                yield sim.timeout(atomics * fabric.config.atomic_extra_latency_s)
+            if injector is not None:
+                delay = injector.extra_delay(verbs[0], server_id)
+                if delay > 0.0:
+                    yield sim.timeout(delay)
+            if not local:
+                yield from self._response_leg(response_bytes)
+            if injector is None:
+                yield from self._apply_effects(ops, results)
+            elif injector.server_down(server_id) or injector.should_drop_batch(
+                verbs, server_id
+            ):
+                yield from self._attempt_lost(injector, verbs[0], attempt)
+                continue
+            if fabric.tracer is not None or fabric.obs is not None:
+                for op in ops:
+                    self._trace(op[0], op[1], started_at, batch_id=batch_id)
+            return results if batched else results[0]
+        self.local_port.wqes_failed += len(ops)
+        rerouted = self._rerouted(epoch)
+        if rerouted is None:
+            what = f"doorbell batch of {len(ops)} verbs" if batched else ops[0][0].value
+            raise RetriesExhaustedError(
+                f"{what} to memory server {server_id} gave up after "
+                f"{attempts} attempts"
+            )
+        return (
+            yield from rerouted._post(
+                ops, request_bytes, response_bytes, atomics, batched
+            )
         )
+
+    def _attempt_lost(
+        self, injector, verb: Verb, attempt: int
+    ) -> Generator[Any, Any, None]:
+        """The request or response of one attempt was lost: wait out the
+        detection timeout, then back off before the next attempt."""
+        retry = injector.retry
+        retried = attempt < retry.max_attempts - 1
+        obs = self.fabric.obs
+        if obs is not None:
+            obs.attempt_failed(verb, self.remote.server_id, retried=retried)
+        wait_start = self.sim.now
+        yield self.sim.timeout(retry.timeout_s)
+        if retried:
+            yield self.sim.timeout(injector.backoff_delay(attempt))
+        if obs is not None:
+            obs.stamp("client_backoff", wait_start, self.sim.now)
 
     def read(self, offset: int, length: int) -> Generator[Any, Any, bytes]:
         """RDMA READ *length* bytes at *offset* of the remote region."""
-        if not self.is_local:
-            self.local_port.ring_doorbell()
-        if self.fabric.injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_onesided(
-                    Verb.READ,
-                    length,
-                    self.fabric.config.request_wire_bytes,
-                    length,
-                    lambda: self._apply_read(offset, length),
-                )
-            )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.READ, length)
-        if self.is_local:
-            yield from self.fabric.local_copy(length)
-        else:
-            yield from self._request_leg(self.fabric.config.request_wire_bytes)
-            yield from self._response_leg(length)
-        self._trace(Verb.READ, length, started_at)
-        return self._apply_read(offset, length)
+        return self._post(
+            [(Verb.READ, length, offset, None)], self._request_wire, length, 0
+        )
 
-    def read_view(self, offset: int, length: int) -> Generator[Any, Any, memoryview]:
+    def read_view(self, offset: int, length: int) -> Generator[Any, Any, Any]:
         """RDMA READ returning a zero-copy view of the remote region.
 
-        Timing, stats, tracing, and the returned bytes are identical to
-        :meth:`read`; only the materialization differs — no copy is made.
-        The view aliases live region memory and blocks region growth while
-        any reference survives, so callers must consume it *before their
-        next simulation yield* and drop every reference (see
-        :meth:`MemoryRegion.read_view`). Not valid under fault injection,
-        where a retried READ must re-materialize fresh bytes — callers
-        gate on ``fabric.injector is None``.
+        The fault-free fast path: timing, stats, tracing, and the returned
+        bytes are identical to :meth:`read`; only the materialization
+        differs — no copy is made. The view aliases live region memory and
+        blocks region growth while any reference survives, so callers must
+        consume it *before their next simulation yield* and drop every
+        reference (see :meth:`MemoryRegion.read_view`). With a fault
+        injector or replication attached it falls back to :meth:`read` —
+        a retried READ must re-materialize fresh bytes, and a failover
+        re-reads another host's region — and returns bytes.
         """
+        fabric = self.fabric
+        if fabric.injector is not None or fabric.replication is not None:
+            return (yield from self.read(offset, length))
         if not self.is_local:
             self.local_port.ring_doorbell()
         sim = self.sim
@@ -423,7 +506,6 @@ class QueuePair:
                 done = self._lrx.reserve(wire, arrival)
                 obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
                 yield sim.timeout(done - sim.now)
-        fabric = self.fabric
         if fabric.tracer is not None or fabric.obs is not None:
             self._trace(Verb.READ, length, started_at)
         data = self.region.read_view(offset, length)
@@ -433,48 +515,30 @@ class QueuePair:
 
     def write(self, offset: int, data: bytes) -> Generator[Any, Any, None]:
         """RDMA WRITE *data* at *offset* of the remote region."""
-        if not self.is_local:
-            self.local_port.ring_doorbell()
-        if self.fabric.injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_onesided(
-                    Verb.WRITE,
-                    len(data),
-                    self.fabric.config.request_wire_bytes + len(data),
-                    0,
-                    lambda: self._apply_write(offset, data),
-                    mirror_bytes=lambda _result, n=len(data): n,
-                )
-            )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.WRITE, len(data))
-        if self.is_local:
-            yield from self.fabric.local_copy(len(data))
-        else:
-            yield from self._request_leg(
-                self.fabric.config.request_wire_bytes + len(data)
-            )
-            # Completion (ACK) back to the requester.
-            yield from self._response_leg(0)
-        self._trace(Verb.WRITE, len(data), started_at)
-        self._apply_write(offset, data)
-        yield from self._mirror(len(data))
+        return self._post(
+            [(Verb.WRITE, len(data), offset, data)],
+            self._request_wire + len(data),
+            0,
+            0,
+        )
 
     def write_faa_chain(self, offset: int, data) -> Generator[Any, Any, int]:
         """Doorbell-chained WRITE + FETCH_ADD(+1) on one page — the
         unlock-release sequence, specialized past VerbBatch staging.
 
-        Wire accounting, stats, tracing, and memory effects are identical
-        to ``batch().write(offset, data).fetch_and_add(offset, 1)
-        .execute()``; the specialization exists because this 2-WQE chain
-        is the hottest batch of every write workload and the generic
-        staging (per-op closures, op tuples, result list) costs more host
-        time than the chain's own simulated legs. Callers gate on
-        ``fabric.injector is None and fabric.replication is None`` — under
-        faults or replication the generic batch path handles retry replay
-        and mirror legs.
+        The fault-free fast path: wire accounting, stats, tracing, and
+        memory effects are identical to ``batch().write(offset, data)
+        .fetch_and_add(offset, 1).execute()``; the specialization exists
+        because this 2-WQE chain is the hottest batch of every write
+        workload and the generic staging costs more host time than the
+        chain's own simulated legs. With a fault injector or replication
+        attached it falls back to that generic batch, which handles retry
+        replay, mirror legs and failover. Returns the FAA's old value.
         """
         fabric = self.fabric
+        if fabric.injector is not None or fabric.replication is not None:
+            batch = self.batch().write(offset, data).fetch_and_add(offset, 1)
+            return (yield from batch.execute())[1]
         nbytes = len(data)
         if not self.is_local:
             self.local_port.ring_doorbell(2)
@@ -532,103 +596,19 @@ class QueuePair:
             self._trace(Verb.FETCH_ADD, 8, started_at, batch_id=batch_id)
         return old
 
-    def _atomic_legs(self) -> Generator[Any, Any, None]:
-        if self.is_local:
-            yield from self.fabric.local_copy(8)
-        else:
-            yield from self._request_leg(self.fabric.config.request_wire_bytes + 16)
-            yield self.sim.timeout(self.fabric.config.atomic_extra_latency_s)
-            yield from self._response_leg(8)
-
     def compare_and_swap(
         self, offset: int, expected: int, new: int
     ) -> Generator[Any, Any, Tuple[bool, int]]:
         """RDMA CAS on the 8-byte word at *offset*; returns ``(swapped, old)``."""
-        if not self.is_local:
-            self.local_port.ring_doorbell()
-        if self.fabric.injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_onesided(
-                    Verb.CAS,
-                    8,
-                    self.fabric.config.request_wire_bytes + 16,
-                    8,
-                    lambda: self._apply_cas(offset, expected, new),
-                    atomic=True,
-                    mirror_bytes=lambda result: 8 if result[0] else 0,
-                )
-            )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.CAS, 8)
-        yield from self._atomic_legs()
-        self._trace(Verb.CAS, 8, started_at)
-        swapped, old = self._apply_cas(offset, expected, new)
-        if swapped:
-            yield from self._mirror(8)
-        return swapped, old
+        return self._post(
+            [(Verb.CAS, 8, offset, (expected, new))], self._request_wire + 16, 8, 1
+        )
 
     def fetch_and_add(self, offset: int, delta: int) -> Generator[Any, Any, int]:
         """RDMA FETCH_AND_ADD on the 8-byte word at *offset*; returns old value."""
-        if not self.is_local:
-            self.local_port.ring_doorbell()
-        if self.fabric.injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_onesided(
-                    Verb.FETCH_ADD,
-                    8,
-                    self.fabric.config.request_wire_bytes + 16,
-                    8,
-                    lambda: self._apply_faa(offset, delta),
-                    atomic=True,
-                    mirror_bytes=lambda _result: 8,
-                )
-            )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.FETCH_ADD, 8)
-        yield from self._atomic_legs()
-        self._trace(Verb.FETCH_ADD, 8, started_at)
-        old = self._apply_faa(offset, delta)
-        yield from self._mirror(8)
-        return old
-
-    def read_many(self, requests) -> Generator[Any, Any, list]:
-        """Issue several READs at once and wait for all of them.
-
-        Used for head-node prefetching (Section 4.3): the scan overlaps the
-        round trips of up to ``prefetch_window`` leaf reads.
-        *requests* is an iterable of ``(offset, length)`` pairs; the return
-        value is the list of byte strings in request order.
-
-        With ``doorbell_batching`` enabled the reads are posted as doorbell
-        batches of up to ``max_batch_wqes`` work-queue entries each — one
-        request/response message pair per batch instead of per read.
-        Otherwise each read is its own parallel verb (the seed behavior).
-        """
-        requests = list(requests)
-        config = self.fabric.config
-        if self.is_local or not config.doorbell_batching or len(requests) < 2:
-            pending = [
-                self.sim.process(self.read(offset, length))
-                for offset, length in requests
-            ]
-            results = yield self.sim.all_of(pending)
-            return results
-        chunks = [
-            requests[i : i + config.max_batch_wqes]
-            for i in range(0, len(requests), config.max_batch_wqes)
-        ]
-
-        def run_chunk(chunk) -> Generator[Any, Any, list]:
-            batch = self.batch()
-            for offset, length in chunk:
-                batch.read(offset, length)
-            return (yield from batch.execute())
-
-        if len(chunks) == 1:
-            return (yield from run_chunk(chunks[0]))
-        pending = [self.sim.process(run_chunk(chunk)) for chunk in chunks]
-        grouped = yield self.sim.all_of(pending)
-        return [data for group in grouped for data in group]
+        return self._post(
+            [(Verb.FETCH_ADD, 8, offset, delta)], self._request_wire + 16, 8, 1
+        )
 
     # -- two-sided RPC ---------------------------------------------------------
 
@@ -646,35 +626,91 @@ class QueuePair:
         control; when the server bounces the request the marker response
         surfaces here as :class:`~repro.errors.ThrottledError` /
         :class:`~repro.errors.AdmissionRejectedError`.
+
+        Like :meth:`_post`, one loop serves both modes. Without a fault
+        injector (or locally) it runs once and waits for the reply. With
+        one, SENDs are at-least-once and handling exactly-once: one
+        *reply* event spans all attempts, so a response that is merely
+        slow (queueing on a loaded worker pool) still completes the call
+        even if a retry is already in flight, and the server suppresses
+        the retry via the call's sequence number. An exhausted call is
+        re-issued on the re-routed queue pair if the cluster fails over.
         """
+        fabric = self.fabric
+        sim = self.sim
         if not self.is_local:
             self.local_port.ring_doorbell()
-        injector = self.fabric.injector
-        if injector is not None and not self.is_local:
-            return (
-                yield from self._faulty_call(
-                    request, request_wire_bytes, injector, tenant
+        replication = fabric.replication
+        epoch = replication.epoch if replication is not None else 0
+        injector = None if self.is_local else fabric.injector
+        obs = fabric.obs
+        span = obs.active_span() if obs is not None else None
+        server_id = self.remote.server_id
+        started_at = sim.now
+        reply = sim.event()
+        if injector is None:
+            seq, attempts = 0, 1
+        else:
+            seq, attempts = self._next_seq, injector.retry.max_attempts
+            self._next_seq += 1
+        for attempt in range(attempts):
+            self._rstats.record(Verb.SEND, request_wire_bytes)
+            if self.is_local:
+                yield from fabric.local_copy(request_wire_bytes)
+            else:
+                yield from self._request_leg(request_wire_bytes)
+            if injector is None or not (
+                injector.server_down(server_id)
+                or injector.should_drop(Verb.SEND, server_id)
+            ):
+                crash_epoch = 0
+                if injector is not None:
+                    delay = injector.extra_delay(Verb.SEND, server_id)
+                    if delay > 0.0:
+                        yield sim.timeout(delay)
+                    crash_epoch = injector.crash_epoch(server_id)
+                envelope = RpcEnvelope(
+                    self, request, reply, seq=seq, epoch=crash_epoch,
+                    tenant=tenant, span=span, enqueued_at=sim.now,
                 )
+                self.remote.submit(envelope)
+                if injector is not None and injector.should_duplicate(
+                    Verb.SEND, server_id
+                ):
+                    self.remote.submit(envelope)
+            if injector is None:
+                yield reply
+            else:
+                wait_start = sim.now
+                yield sim.any_of([reply, sim.timeout(injector.retry.timeout_s)])
+                if not reply.triggered:
+                    retried = attempt < attempts - 1
+                    if obs is not None:
+                        obs.attempt_failed(Verb.SEND, server_id, retried=retried)
+                    if retried:
+                        yield sim.timeout(injector.backoff_delay(attempt))
+                    if obs is not None and not reply.triggered:
+                        # The timed-out detection window plus the backoff
+                        # are client-side retry delay (a reply landing
+                        # mid-backoff keeps its server-stamped segments).
+                        obs.stamp("client_backoff", wait_start, sim.now)
+                if reply.triggered:
+                    self._rpc_cache.pop(seq, None)
+                    self._rpc_admitted.discard(seq)
+            if reply.triggered:
+                self._trace(Verb.SEND, request_wire_bytes, started_at)
+                return self._check_admitted(reply.value, started_at)
+        self._rpc_cache.pop(seq, None)
+        self._rpc_inflight.discard(seq)
+        self._rpc_admitted.discard(seq)
+        self.local_port.wqes_failed += 1
+        rerouted = self._rerouted(epoch)
+        if rerouted is None:
+            raise RetriesExhaustedError(
+                f"rpc to memory server {server_id} gave up after "
+                f"{attempts} attempts"
             )
-        started_at = self.sim.now
-        self.remote.stats.record(Verb.SEND, request_wire_bytes)
-        reply = self.sim.event()
-        if self.is_local:
-            yield from self.fabric.local_copy(request_wire_bytes)
-        else:
-            yield from self._request_leg(request_wire_bytes)
-        obs = self.fabric.obs
-        if obs is None:
-            envelope = RpcEnvelope(self, request, reply, tenant=tenant)
-        else:
-            envelope = RpcEnvelope(
-                self, request, reply, tenant=tenant,
-                span=obs.active_span(), enqueued_at=self.sim.now,
-            )
-        self.remote.submit(envelope)
-        response = yield reply
-        self._trace(Verb.SEND, request_wire_bytes, started_at)
-        return self._check_admitted(response, started_at)
+        return (yield from rerouted.call(request, request_wire_bytes, tenant))
 
     def _check_admitted(
         self, response: Any, started_at: Optional[float] = None
@@ -697,79 +733,6 @@ class QueuePair:
                 f"request ({reason})"
             )
         return response
-
-    def _faulty_call(
-        self,
-        request: Any,
-        request_wire_bytes: int,
-        injector,
-        tenant: Optional[str] = None,
-    ) -> Generator[Any, Any, Any]:
-        """RPC attempt loop: at-least-once SENDs, exactly-once handling.
-
-        One *reply* event spans all attempts, so a response that is merely
-        slow (queueing on a loaded worker pool) still completes the call
-        even if a retry is already in flight; the retry is then suppressed
-        server-side via the sequence number.
-        """
-        retry = injector.retry
-        server_id = self.remote.server_id
-        started_at = self.sim.now
-        reply = self.sim.event()
-        seq = self._next_seq
-        self._next_seq += 1
-        last_attempt = retry.max_attempts - 1
-        obs = self.fabric.obs
-        span = obs.active_span() if obs is not None else None
-        for attempt in range(retry.max_attempts):
-            self.remote.stats.record(Verb.SEND, request_wire_bytes)
-            yield from self._request_leg(request_wire_bytes)
-            if not injector.server_down(server_id) and not (
-                injector.should_drop(Verb.SEND, server_id)
-            ):
-                delay = injector.extra_delay(Verb.SEND, server_id)
-                if delay > 0.0:
-                    yield self.sim.timeout(delay)
-                epoch = injector.crash_epoch(server_id)
-                self.remote.submit(
-                    RpcEnvelope(
-                        self, request, reply, seq=seq, epoch=epoch, tenant=tenant,
-                        span=span, enqueued_at=self.sim.now,
-                    )
-                )
-                if injector.should_duplicate(Verb.SEND, server_id):
-                    self.remote.submit(
-                        RpcEnvelope(
-                            self, request, reply, seq=seq, epoch=epoch,
-                            tenant=tenant, span=span, enqueued_at=self.sim.now,
-                        )
-                    )
-            wait_start = self.sim.now
-            yield self.sim.any_of([reply, self.sim.timeout(retry.timeout_s)])
-            if not reply.triggered:
-                if obs is not None:
-                    obs.attempt_failed(
-                        Verb.SEND, server_id, retried=attempt < last_attempt
-                    )
-                if attempt < last_attempt:
-                    yield self.sim.timeout(injector.backoff_delay(attempt))
-                if obs is not None and not reply.triggered:
-                    # The timed-out detection window plus the backoff are
-                    # client-side retry delay (a reply landing mid-backoff
-                    # keeps its server-stamped segments instead).
-                    obs.stamp("client_backoff", wait_start, self.sim.now)
-            if reply.triggered:
-                self._rpc_cache.pop(seq, None)
-                self._rpc_admitted.discard(seq)
-                self._trace(Verb.SEND, request_wire_bytes, started_at)
-                return self._check_admitted(reply.value, started_at)
-        self._rpc_cache.pop(seq, None)
-        self._rpc_inflight.discard(seq)
-        self._rpc_admitted.discard(seq)
-        raise RetriesExhaustedError(
-            f"rpc to memory server {server_id} gave up after "
-            f"{retry.max_attempts} attempts"
-        )
 
     # -- server-side dedup bookkeeping (used by MemoryServer workers) ---------
 
@@ -848,108 +811,73 @@ class VerbBatch:
     Under fault injection the batch's two wire legs live or die as a unit
     (one drop draw per leg, at the most fault-prone member's probability),
     while memory effects keep per-verb at-most-once replay semantics across
-    retries, exactly like single verbs.
+    retries, exactly like single verbs: both run through the same attempt
+    loop (:meth:`QueuePair._post`).
     """
 
     __slots__ = ("qp", "_ops", "_executed", "_request_bytes",
-                 "_response_bytes", "_payload_total", "_num_atomics")
+                 "_response_bytes", "_atomics")
 
     def __init__(self, qp: QueuePair) -> None:
         self.qp = qp
-        # (verb, payload_bytes, effect, mirror_bytes) per staged WQE. The
-        # wire totals are running sums maintained at staging time, so
-        # execute() does no per-verb aggregation passes. Two compact
-        # encodings keep the hottest stagings allocation-free: a READ's
-        # ``effect`` slot holds the region *offset* (an int — the apply
-        # call is reconstructed at execution), and a constant-size mirror
-        # leg (WRITE/FAA) stores the byte count itself instead of a
-        # callable returning it.
+        # One ``(verb, payload_bytes, offset, arg)`` tuple per staged WQE,
+        # where *arg* is the WRITE's data, the CAS's ``(expected, new)`` or
+        # the FAA's delta (None for READ). The entries name no queue pair,
+        # so a chain re-issued after a failover runs unchanged on the new
+        # one. The wire totals are running sums kept at staging time.
         self._ops: List[Tuple] = []
         self._executed = False
         self._request_bytes = 0
         self._response_bytes = 0
-        self._payload_total = 0
-        self._num_atomics = 0
+        self._atomics = 0
 
     def __len__(self) -> int:
         return len(self._ops)
 
     def _stage(
-        self,
-        verb: Verb,
-        payload_bytes: int,
-        request_bytes: int,
-        response_bytes: int,
-        effect,
-        atomic: bool = False,
-        mirror_bytes=None,
+        self, op: Tuple, request_bytes: int, response_bytes: int, atomic: bool = False
     ) -> "VerbBatch":
         if self._executed:
             raise NetworkError("cannot post to an already-executed VerbBatch")
-        self._ops.append((verb, payload_bytes, effect, mirror_bytes))
+        self._ops.append(op)
         self._request_bytes += request_bytes
         self._response_bytes += response_bytes
-        self._payload_total += payload_bytes
         if atomic:
-            self._num_atomics += 1
+            self._atomics += 1
         return self
-
-    @staticmethod
-    def _apply(qp: QueuePair, op: Tuple) -> Any:
-        """Run one staged WQE's memory effect (decoding the READ shorthand)."""
-        effect = op[2]
-        if effect.__class__ is int:
-            return qp._apply_read(effect, op[1])
-        return effect()
 
     # -- posting (returns self for chaining) ---------------------------------
 
     def read(self, offset: int, length: int) -> "VerbBatch":
         """Stage an RDMA READ of *length* bytes at *offset*."""
         return self._stage(
-            Verb.READ,
-            length,
-            self.qp.fabric.config.request_wire_bytes,
-            length,
-            offset,
+            (Verb.READ, length, offset, None), self.qp._request_wire, length
         )
 
     def write(self, offset: int, data: bytes) -> "VerbBatch":
         """Stage an RDMA WRITE of *data* at *offset*."""
-        qp = self.qp
         return self._stage(
-            Verb.WRITE,
-            len(data),
-            self.qp.fabric.config.request_wire_bytes + len(data),
+            (Verb.WRITE, len(data), offset, data),
+            self.qp._request_wire + len(data),
             0,
-            lambda: qp._apply_write(offset, data),
-            mirror_bytes=len(data),
         )
 
     def compare_and_swap(self, offset: int, expected: int, new: int) -> "VerbBatch":
         """Stage an RDMA CAS; its result slot gets ``(swapped, old)``."""
-        qp = self.qp
         return self._stage(
-            Verb.CAS,
+            (Verb.CAS, 8, offset, (expected, new)),
+            self.qp._request_wire + 16,
             8,
-            self.qp.fabric.config.request_wire_bytes + 16,
-            8,
-            lambda: qp._apply_cas(offset, expected, new),
             atomic=True,
-            mirror_bytes=lambda result: 8 if result[0] else 0,
         )
 
     def fetch_and_add(self, offset: int, delta: int) -> "VerbBatch":
         """Stage an RDMA FETCH_AND_ADD; its result slot gets the old value."""
-        qp = self.qp
         return self._stage(
-            Verb.FETCH_ADD,
+            (Verb.FETCH_ADD, 8, offset, delta),
+            self.qp._request_wire + 16,
             8,
-            self.qp.fabric.config.request_wire_bytes + 16,
-            8,
-            lambda: qp._apply_faa(offset, delta),
             atomic=True,
-            mirror_bytes=8,
         )
 
     # -- execution -----------------------------------------------------------
@@ -957,140 +885,14 @@ class VerbBatch:
     def execute(self) -> Generator[Any, Any, List[Any]]:
         """Ring the doorbell: ship the chain, return per-verb results in
         posting order."""
-        qp = self.qp
-        ops = self._ops
         if self._executed:
             raise NetworkError("VerbBatch already executed")
         self._executed = True
-        if not ops:
+        if not self._ops:
             return []
-        fabric = qp.fabric
-        request_bytes = self._request_bytes
-        response_bytes = self._response_bytes
-        num_atomics = self._num_atomics
-        if not qp.is_local:
-            qp.local_port.ring_doorbell(len(ops))
-            obs = fabric.obs
-            if obs is not None:
-                obs.batch_executed(qp.remote.server_id, len(ops))
-        batch_id = fabric.next_batch_id()
-        if fabric.injector is not None and not qp.is_local:
-            return (
-                yield from self._faulty_execute(
-                    request_bytes, response_bytes, num_atomics, batch_id
-                )
+        return (
+            yield from self.qp._post(
+                self._ops, self._request_bytes, self._response_bytes,
+                self._atomics, batched=True,
             )
-        started_at = qp.sim.now
-        record = qp.remote.stats.record
-        for op in ops:
-            record(op[0], op[1])
-        if qp.is_local:
-            yield from fabric.local_copy(self._payload_total)
-        else:
-            yield from qp._request_leg(request_bytes)
-            if num_atomics:
-                yield qp.sim.timeout(
-                    num_atomics * fabric.config.atomic_extra_latency_s
-                )
-            yield from qp._response_leg(response_bytes)
-        apply = self._apply
-        replicated = fabric.replication is not None
-        results: List[Any] = []
-        append = results.append
-        for op in ops:
-            result = apply(qp, op)
-            mirror_bytes = op[3]
-            if mirror_bytes is not None and replicated:
-                yield from qp._mirror(
-                    mirror_bytes
-                    if mirror_bytes.__class__ is int
-                    else mirror_bytes(result)
-                )
-            append(result)
-        if fabric.tracer is not None or fabric.obs is not None:
-            for op in ops:
-                qp._trace(op[0], op[1], started_at, batch_id=batch_id)
-        return results
-
-    def _faulty_execute(
-        self,
-        request_bytes: int,
-        response_bytes: int,
-        num_atomics: int,
-        batch_id: int,
-    ) -> Generator[Any, Any, List[Any]]:
-        """Attempt loop for a non-local batch under fault injection.
-
-        The request and response legs carry the whole chain, so each leg is
-        a single delivery draw (the most fault-prone member's probability);
-        per-WQE effects keep the at-most-once replay guarantee — a retry
-        after a lost *response* re-learns the cached outcomes instead of
-        re-executing writes or double-bumping atomics.
-        """
-        qp = self.qp
-        ops = self._ops
-        injector = qp.fabric.injector
-        retry = injector.retry
-        config = qp.fabric.config
-        server_id = qp.remote.server_id
-        verbs = [op[0] for op in ops]
-        lead_verb = verbs[0]
-        started_at = qp.sim.now
-        results: List[Any] = [_UNSET] * len(ops)
-        last_attempt = retry.max_attempts - 1
-        for attempt in range(retry.max_attempts):
-            for verb, payload_bytes, *_rest in ops:
-                qp.remote.stats.record(verb, payload_bytes)
-            yield from qp._request_leg(request_bytes)
-            if injector.should_duplicate(lead_verb, server_id):
-                # The NIC discards the duplicate; it only burns RX bandwidth.
-                qp.remote.port.rx.reserve(request_bytes + config.header_wire_bytes)
-            delivered = not injector.server_down(server_id) and not (
-                injector.should_drop_batch(verbs, server_id)
-            )
-            if delivered:
-                replicated = qp.fabric.replication is not None
-                for i, op in enumerate(ops):
-                    if results[i] is _UNSET:
-                        result = results[i] = self._apply(qp, op)
-                        mirror_bytes = op[3]
-                        if mirror_bytes is not None and replicated:
-                            yield from qp._mirror(
-                                mirror_bytes
-                                if mirror_bytes.__class__ is int
-                                else mirror_bytes(result)
-                            )
-                if num_atomics:
-                    yield qp.sim.timeout(
-                        num_atomics * config.atomic_extra_latency_s
-                    )
-                delay = injector.extra_delay(lead_verb, server_id)
-                if delay > 0.0:
-                    yield qp.sim.timeout(delay)
-                yield from qp._response_leg(response_bytes)
-                if not injector.server_down(server_id) and not (
-                    injector.should_drop_batch(verbs, server_id)
-                ):
-                    if qp.fabric.tracer is not None or qp.fabric.obs is not None:
-                        for verb, payload_bytes, *_rest in ops:
-                            qp._trace(
-                                verb, payload_bytes, started_at, batch_id=batch_id
-                            )
-                    return results
-            # Request or response lost: wait out the detection timeout,
-            # then back off before re-posting the chain.
-            obs = qp.fabric.obs
-            if obs is not None:
-                obs.attempt_failed(
-                    lead_verb, server_id, retried=attempt < last_attempt
-                )
-            wait_start = qp.sim.now
-            yield qp.sim.timeout(retry.timeout_s)
-            if attempt < last_attempt:
-                yield qp.sim.timeout(injector.backoff_delay(attempt))
-            if obs is not None:
-                obs.stamp("client_backoff", wait_start, qp.sim.now)
-        raise RetriesExhaustedError(
-            f"doorbell batch of {len(ops)} verbs to memory server {server_id} "
-            f"gave up after {retry.max_attempts} attempts"
         )

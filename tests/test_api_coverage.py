@@ -3,21 +3,27 @@
 import pytest
 
 from repro import Cluster, ClusterConfig, HybridIndex
+from repro.btree.node import Node, NodeType
+from repro.btree.pointers import encode_pointer
+from repro.index.accessors import RemoteAccessor
 from repro.rdma.verbs import Verb, VerbStats
 from repro.sim import BandwidthChannel, Simulator
 
 
-def test_qp_read_many_returns_in_request_order(cluster, compute):
-    server = cluster.memory_server(0)
-    server.region.write(4096, b"A" * 8)
-    server.region.write(8192, b"B" * 8)
-    server.region.write(12288, b"C" * 8)
+def test_read_nodes_returns_in_request_order(cluster, compute):
+    page_size = cluster.config.tree.page_size
+    pointers = []
+    for i, key in enumerate((30, 10, 20)):
+        node = Node(NodeType.LEAF, 0, version=2, keys=[key], values=[key])
+        offset = 4096 + i * page_size
+        cluster.memory_server(0).region.write(offset, node.to_bytes(page_size))
+        pointers.append(encode_pointer(0, offset))
     start = cluster.now
-    results = cluster.execute(
-        compute.qp(0).read_many([(4096, 8), (8192, 8), (12288, 8)])
+    nodes = cluster.execute(
+        RemoteAccessor(compute, cluster.config).read_nodes(pointers)
     )
-    assert results == [b"A" * 8, b"B" * 8, b"C" * 8]
-    # Issued in parallel: cheaper than three serial round trips.
+    assert [node.keys for node in nodes] == [[30], [10], [20]]
+    # Issued together: cheaper than three serial round trips.
     serial_floor = 3 * 2 * cluster.config.network.one_way_latency_s
     assert cluster.now - start < serial_floor
 

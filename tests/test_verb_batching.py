@@ -226,10 +226,24 @@ class TestVerbBatchSemantics:
 
 
 # --------------------------------------------------------------------------- #
-# read_many chunking                                                           #
+# read_nodes chunking                                                          #
 # --------------------------------------------------------------------------- #
 
-class TestReadMany:
+def _plant_leaves(cluster, count: int, server_id: int = 0):
+    """Plant *count* distinct leaves on one server; returns their raw
+    pointers and the keys each one holds."""
+    page_size = cluster.config.tree.page_size
+    pointers, keys = [], []
+    for i in range(count):
+        offset = 4096 + i * page_size
+        node = Node(NodeType.LEAF, 0, version=4, keys=[i, i + 1000], values=[1, 2])
+        cluster.memory_server(server_id).region.write(offset, node.to_bytes(page_size))
+        pointers.append(encode_pointer(server_id, offset))
+        keys.append(node.keys)
+    return pointers, keys
+
+
+class TestReadNodesChunking:
     def test_chunks_of_max_batch_wqes(self):
         config = ClusterConfig(
             num_memory_servers=2,
@@ -238,15 +252,11 @@ class TestReadMany:
         )
         cluster = Cluster(config)
         compute = cluster.new_compute_server()
-        server = cluster.memory_server(0)
-        requests = [(i * 64, 64) for i in range(10)]
-        for offset, length in requests:
-            server.region.write(offset, bytes([offset % 251]) * length)
+        pointers, keys = _plant_leaves(cluster, 10)
+        accessor = RemoteAccessor(compute, cluster.config)
         with VerbTracer(cluster) as tracer:
-            results = cluster.execute(compute.qp(0).read_many(requests))
-        assert results == [
-            bytes([offset % 251]) * length for offset, length in requests
-        ]
+            nodes = cluster.execute(accessor.read_nodes(pointers))
+        assert [node.keys for node in nodes] == keys
         assert sorted(tracer.batch_sizes()) == [2, 4, 4]
         assert compute.qp(0).local_port.doorbells == 3
 
@@ -258,19 +268,21 @@ class TestReadMany:
         )
         cluster = Cluster(config)
         compute = cluster.new_compute_server()
+        pointers, keys = _plant_leaves(cluster, 3)
+        accessor = RemoteAccessor(compute, cluster.config)
         with VerbTracer(cluster) as tracer:
-            results = cluster.execute(
-                compute.qp(0).read_many([(0, 64), (64, 64), (128, 64)])
-            )
-        assert len(results) == 3
+            nodes = cluster.execute(accessor.read_nodes(pointers))
+        assert [node.keys for node in nodes] == keys
         assert tracer.batch_sizes() == []
         assert tracer.doorbells == 3
 
     def test_single_request_stays_unbatched(self, wired):
         cluster, compute = wired
+        pointers, keys = _plant_leaves(cluster, 1)
+        accessor = RemoteAccessor(compute, cluster.config)
         with VerbTracer(cluster) as tracer:
-            results = cluster.execute(compute.qp(0).read_many([(0, 64)]))
-        assert len(results) == 1
+            nodes = cluster.execute(accessor.read_nodes(pointers))
+        assert [node.keys for node in nodes] == keys
         assert tracer.batch_sizes() == []
 
 
@@ -279,18 +291,13 @@ class TestReadMany:
 # --------------------------------------------------------------------------- #
 
 class TestBatchFaults:
-    def test_read_many_correct_under_drop_delay_duplicate(self):
+    def test_read_nodes_correct_under_drop_delay_duplicate(self):
         """A batch's two wire legs live or die as a unit; retries replay the
-        whole chain — the caller always gets every payload back intact."""
+        whole chain — the caller always gets every page back intact."""
         cluster = Cluster(ClusterConfig(num_memory_servers=2, seed=19))
         compute = cluster.new_compute_server()
-        server = cluster.memory_server(0)
-        requests = [(4096 + i * 64, 64) for i in range(12)]
-        expected = []
-        for offset, length in requests:
-            payload = bytes([offset % 251]) * length
-            server.region.write(offset, payload)
-            expected.append(payload)
+        pointers, keys = _plant_leaves(cluster, 12)
+        accessor = RemoteAccessor(compute, cluster.config)
         injector = cluster.attach_faults(
             FaultPlan(
                 seed=3,
@@ -301,7 +308,8 @@ class TestBatchFaults:
             )
         )
         for _ in range(10):
-            assert cluster.execute(compute.qp(0).read_many(requests)) == expected
+            nodes = cluster.execute(accessor.read_nodes(pointers))
+            assert [node.keys for node in nodes] == keys
         injector.quiesce()
         assert injector.stats["drops"] > 0
         assert injector.stats["retries"] > 0
