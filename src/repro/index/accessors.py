@@ -23,8 +23,12 @@ skipped. Masters are shared: ``read_node(shared=True)`` returns the master
 itself, and any other read returns a private ``clone()``. Ownership:
 
 * every session on one compute server shares
-  :attr:`ComputeServer.decode_memo` (keyed by raw pointer), used only while
-  neither a fault injector nor replication is attached;
+  :attr:`ComputeServer.decode_memo` (keyed by raw pointer), on under faults
+  and replication too. A logical server's bytes can change without a
+  version bump only when a crash wipes a copy, a promotion re-routes it to
+  a backup, or a restart resyncs a copy; the
+  :class:`~repro.nam.replication.ReplicationManager` empties every compute
+  server's memo at those three events, so reads pay no check;
 * every :class:`LocalAccessor` keeps its own memo keyed by page offset in
   the one region it is bound to. Local reads are never faulted, so it stays
   on under chaos; a :meth:`MemoryRegion.wipe` (destructive crash, resync)
@@ -301,9 +305,7 @@ class RemoteAccessor(NodeAccessor):
         #: Lock steals performed by this accessor (lease recovery).
         self.lock_steals = 0
         # Decode memo (see module docstring): the compute server's unless
-        # the caller injects its own. Bypassed (checked per read) under
-        # fault injection or replication, where observed images may be
-        # transient locked/stale states not worth reasoning about.
+        # the caller injects its own.
         self._decode_cache: Dict[int, Node] = (
             compute_server.decode_memo if decode_memo is None else decode_memo
         )
@@ -313,17 +315,11 @@ class RemoteAccessor(NodeAccessor):
         return _decode_memoized(self._decode_cache, raw_ptr, data)
 
     def _decode(self, raw_ptr: int, data, shared: bool = True) -> Node:
-        """Decode a fetched page image.
-
-        The memo is used only while neither a fault injector nor
-        replication is attached, where every image comes from the
-        fault-free fast path; it hands read-only (*shared*) callers the
-        memoized master and everyone else a private clone. Otherwise each
-        image is parsed on its own, already private to the caller.
-        """
-        fabric = self.compute_server.fabric
-        if fabric.injector is not None or fabric.replication is not None:
-            return Node.from_bytes(data)
+        """Decode a fetched page image through the memo: read-only
+        (*shared*) callers get the memoized master, everyone else a private
+        clone. The image may be a zero-copy view or, from a retried READ,
+        the bytes its first delivery returned — either way an even version
+        names one page content."""
         master = self._decode_shared(raw_ptr, data)
         return master if shared else master.clone()
 
@@ -335,8 +331,8 @@ class RemoteAccessor(NodeAccessor):
         if raw_ptr == 0 or raw_ptr & NULL_RAW:
             raise RemoteAccessError("cannot decode a NULL remote pointer")
         compute = self.compute_server
-        # Zero-copy fetch on the fault-free path: the view aliases the
-        # live region, so it is decoded immediately — before the
+        # Zero-copy fetch (bytes under fault injection): the view aliases
+        # the live region, so it is decoded immediately — before the
         # search-cost yield, during which a concurrent writer could change
         # the page — and dropped. The decode input is exactly the bytes a
         # copying READ would have returned.

@@ -176,6 +176,9 @@ class MemoryServer:
             queue = self.srq
         cpu_config = self.config.cpu
         while True:
+            # Hold nothing of the last request while idle: its envelope
+            # carries the issuing op's span, which must die with the op.
+            envelope = span = None
             envelope: RpcEnvelope = yield queue.get()
             injector = self.injector
             if injector is not None:

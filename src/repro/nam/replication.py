@@ -216,6 +216,7 @@ class ReplicationManager:
                 self.stats["wiped_copies"] += 1
         # The host's local free list described pages of the wiped region.
         self.cluster.memory_servers[host_id].allocator._free.clear()
+        self._forget_decodes()
 
     def promote(self, logical_id: int) -> None:
         """Promote the first live backup (in placement order) of
@@ -247,6 +248,7 @@ class ReplicationManager:
                 new_primary.region.attach_mirror(copy.region)
         self.cluster.catalog.epoch += 1
         self.stats["failovers"] += 1
+        self._forget_decodes()
         new_host = self.cluster.memory_servers[new_primary.host_id]
         for hook in self._promotion_hooks:
             hook(logical_id, new_host, new_primary.region)
@@ -300,7 +302,17 @@ class ReplicationManager:
                 restored += int(high_water) or len(data)
                 self.stats["resynced_copies"] += 1
                 self.stats["resynced_bytes"] += int(high_water) or len(data)
+        self._forget_decodes()
         return restored
+
+    def _forget_decodes(self) -> None:
+        """Empty every compute server's decode memo. The memo trusts that
+        an even version word names one page content; a wipe, a route change
+        or a resync can break that without a version bump, so each of the
+        three calls this (server-side memos follow their region's wipe
+        generation instead)."""
+        for compute in self.cluster.compute_servers:
+            compute.decode_memo.clear()
 
     def background_resync(
         self, host_id: int, nbytes: int

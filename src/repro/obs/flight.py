@@ -5,9 +5,10 @@ happened *just before* — the ops, verbs, faults and admission verdicts
 leading up to the errored op or SLO violation. The counters have already
 aggregated that away and span sampling may have skipped the crucial op.
 The :class:`FlightRecorder` is the always-on black box: bounded rings
-(per-client recent op spans, per-server admission decisions, cluster-wide
+(per-client recent ops, per-server admission decisions, cluster-wide
 fault events, a compact recent-verb ring) that cost a few deque appends
-per event and never grow.
+per event and never grow. Rings hold flat records, never span trees:
+anything that keeps spans must be bounded and store what it later reads.
 
 On a trigger — an errored op, a verifier failure, a tenant SLO violation
 — :meth:`dump` freezes the rings into a **self-contained JSON bundle**:
@@ -37,7 +38,8 @@ class FlightRecorder:
         self._clock = clock
         self._ring = ring
         self._max_dumps = max_dumps
-        #: client_id -> ring of recently finished root OpSpans.
+        #: client_id -> ring of ``(op_id, name, started_at, finished_at)``
+        #: records of recently finished operations.
         self._client_ops: Dict[Any, deque] = {}
         #: server_id -> ring of (t, verdict) admission decisions, where
         #: verdict is "accepted" or the rejection reason.
@@ -57,7 +59,7 @@ class FlightRecorder:
         if ring is None:
             ring = deque(maxlen=self._ring)
             self._client_ops[span.client_id] = ring
-        ring.append(span)
+        ring.append((span.op_id, span.name, span.started_at, span.finished_at))
 
     def record_verb(
         self, verb: str, server_id: int, payload_bytes: int,
@@ -101,12 +103,12 @@ class FlightRecorder:
         bundle["recent_ops"] = {
             str(client_id): [
                 {
-                    "op_id": op.op_id,
-                    "name": op.name,
-                    "started_at": op.started_at,
-                    "finished_at": op.finished_at,
+                    "op_id": op_id,
+                    "name": name,
+                    "started_at": started_at,
+                    "finished_at": finished_at,
                 }
-                for op in ring
+                for op_id, name, started_at, finished_at in ring
             ]
             for client_id, ring in sorted(
                 self._client_ops.items(), key=lambda item: str(item[0])

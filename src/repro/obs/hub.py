@@ -116,12 +116,6 @@ class Observability:
 
     # -- critical-path stamps (consumed by repro.obs.attribution) --------------
 
-    @staticmethod
-    def _root(span: OpSpan) -> OpSpan:
-        while span.parent is not None:
-            span = span.parent
-        return span
-
     def stamp(self, label: str, started_at: float, finished_at: float) -> None:
         """Attribute ``[started_at, finished_at)`` of the *active* process's
         operation to segment *label*. No-op outside an operation or for a
@@ -132,7 +126,7 @@ class Observability:
         span = process.span if process is not None else None
         if span is None:
             return
-        self._root(span).segments.append((label, started_at, finished_at))
+        span.root_segments.append((label, started_at, finished_at))
 
     def stamp_span(
         self, span: OpSpan, label: str, started_at: float, finished_at: float
@@ -142,7 +136,7 @@ class Observability:
         workers stamping queue wait and CPU time onto the client's op)."""
         if finished_at <= started_at:
             return
-        self._root(span).segments.append((label, started_at, finished_at))
+        span.root_segments.append((label, started_at, finished_at))
 
     def stamp_leg(
         self,
@@ -160,7 +154,7 @@ class Observability:
         span = process.span if process is not None else None
         if span is None:
             return
-        segments = self._root(span).segments
+        segments = span.root_segments
         if tx_start > started_at:
             segments.append(("nic_queue", started_at, tx_start))
         if arrival > tx_start:
@@ -240,8 +234,9 @@ class Observability:
         span = process.span if process is not None else None
         if span is None or span.parent is None:
             return
+        parent = span.parent
         span.finish(self.sim.now)
-        process.span = span.parent
+        process.span = parent
 
     # -- hot-path events (push) -------------------------------------------------
 

@@ -11,6 +11,12 @@ is what correlates a span tree with the raw wire trace.
 Span objects are plain containers; all lifecycle decisions (sampling,
 slow-op capture, retention bounds) live in
 :class:`~repro.obs.hub.Observability`. Timestamps are simulated seconds.
+
+Memory: a span keeps its ``parent`` link only while it is open, and every
+span of a tree shares its root's ``segments`` list (``root_segments``),
+so a stamp reaches the root without walking links. A finished tree
+therefore points only downward: reference counting frees it the moment
+its last holder drops it, and the cycle collector never has to trace it.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ class OpSpan:
         "children",
         "verbs",
         "segments",
+        "root_segments",
     )
 
     def __init__(
@@ -65,13 +72,19 @@ class OpSpan:
         self.client_id = client_id
         self.started_at = started_at
         self.finished_at: Optional[float] = None
+        #: The enclosing span while this one is open; None once finished.
         self.parent = parent
         self.children: List["OpSpan"] = []
         self.verbs: List[VerbEvent] = []
         #: Critical-path stamps ``(label, start, end)`` collected on the
-        #: *root* span only (the hub walks child stamps up); consumed by
+        #: *root* span only (child stamps land here through
+        #: ``root_segments``); consumed by
         #: :mod:`repro.obs.attribution` to decompose the op's wall time.
         self.segments: List[tuple] = []
+        #: The root's ``segments``, shared by the whole tree.
+        self.root_segments: List[tuple] = (
+            self.segments if parent is None else parent.root_segments
+        )
 
     def child(self, kind: str, name: str, started_at: float) -> "OpSpan":
         """Open a child span (inherits op_id and client_id)."""
@@ -84,12 +97,14 @@ class OpSpan:
 
     def finish(self, now: float) -> None:
         """Close this span; children left open are closed at the same instant
-        (a crashed or error-aborted operation never reaches its exits)."""
+        (a crashed or error-aborted operation never reaches its exits).
+        Closing drops the parent link (see the module docstring)."""
         for span in self.children:
             if span.finished_at is None:
                 span.finish(now)
         if self.finished_at is None:
             self.finished_at = now
+        self.parent = None
 
     @property
     def duration(self) -> float:

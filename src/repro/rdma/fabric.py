@@ -49,6 +49,7 @@ class Fabric:
         self.obs = None
         # Monotone id for doorbell batches (tracing/debugging only).
         self._batch_seq = 0
+        self._latency = config.one_way_latency_s
 
     def next_batch_id(self) -> int:
         """A fabric-unique id naming one doorbell batch."""
@@ -62,36 +63,38 @@ class Fabric:
     def detach_injector(self) -> None:
         self.injector = None
 
+    def leg(self, tx: BandwidthChannel, rx: BandwidthChannel, wire: int) -> float:
+        """Book one message of *wire* bytes from *tx* to *rx*; returns the
+        time it has fully arrived.
+
+        The message occupies the sender's TX line, propagates through the
+        switch, then occupies the receiver's RX line; TX is always reserved
+        before RX. Booking schedules no event — the caller sleeps until the
+        returned time, so a whole leg costs one simulation event. With the
+        observability hub attached the leg's anatomy is stamped onto the
+        active operation (the extra ``busy_until`` reads are pure).
+        """
+        obs = self.obs
+        if obs is None:
+            return rx.reserve(wire, tx.reserve(wire) + self._latency)
+        started = self.sim.now
+        tx_start = tx.busy_until
+        arrival = tx.reserve(wire) + self._latency
+        rx_start = max(rx.busy_until, arrival)
+        done = rx.reserve(wire, arrival)
+        obs.stamp_leg(started, tx_start, arrival, rx_start, done)
+        return done
+
     def transmit(
         self,
         tx: BandwidthChannel,
         rx: BandwidthChannel,
         payload_bytes: int,
     ) -> Generator[Any, Any, None]:
-        """Process: move one message of *payload_bytes* from *tx* to *rx*.
-
-        The message occupies the sender's TX line, propagates through the
-        switch, then occupies the receiver's RX line. Both line bookings
-        happen through channel reservations so the whole transmit costs a
-        single simulation event.
-        """
-        wire = payload_bytes + self.config.header_wire_bytes
-        obs = self.obs
-        if obs is None:
-            tx_done = tx.reserve(wire)
-            arrival = tx_done + self.config.one_way_latency_s
-            rx_done = rx.reserve(wire, earliest=arrival)
-        else:
-            # Same reservations in the same order; the extra busy_until
-            # reads are pure and let the stamp split queueing from flight.
-            started = self.sim.now
-            tx_start = tx.busy_until
-            tx_done = tx.reserve(wire)
-            arrival = tx_done + self.config.one_way_latency_s
-            rx_start = max(rx.busy_until, arrival)
-            rx_done = rx.reserve(wire, earliest=arrival)
-            obs.stamp_leg(started, tx_start, arrival, rx_start, rx_done)
-        yield self.sim.timeout(rx_done - self.sim.now)
+        """Process: move one message of *payload_bytes* (plus the header)
+        from *tx* to *rx* — a :meth:`leg` and the wait for it."""
+        done = self.leg(tx, rx, payload_bytes + self.config.header_wire_bytes)
+        yield self.sim.timeout(done - self.sim.now)
 
     def local_copy(self, payload_bytes: int) -> Generator[Any, Any, None]:
         """Process: a same-machine memory access (co-located fast path)."""

@@ -42,9 +42,16 @@ changed since the verb started (promoting a backup if the primary is
 down), and if so re-issues itself through its owning compute server's
 re-routed queue pair. Otherwise it raises
 :class:`~repro.errors.RetriesExhaustedError`. Callers never branch on
-faults or replication: the two fault-free fast paths,
-:meth:`QueuePair.read_view` and :meth:`QueuePair.write_faa_chain`, fall
-back to the attempt loop themselves while either is attached.
+faults or replication: the two fast paths fall back to the attempt loop
+themselves — :meth:`QueuePair.read_view` (zero-copy READ) only under a
+fault injector on a non-local queue pair, :meth:`QueuePair.write_faa_chain`
+(fused unlock) under an injector or replication.
+
+Every wire message — request, response, RPC SEND and reply, on the fast
+paths and in the loops alike — is booked by one plain helper,
+:meth:`~repro.rdma.fabric.Fabric.leg` (TX before RX, obs stamp inside),
+followed by one timeout: a leg costs one simulation event and no
+generator frame.
 """
 
 from __future__ import annotations
@@ -64,7 +71,6 @@ from repro.sim import Event, Simulator
 
 __all__ = ["QueuePair", "RpcEnvelope", "VerbBatch"]
 
-_UNSET = object()
 #: Replayed-response cache entries kept per QP (at-most-once RPC dedup).
 #: Fallback used when no injector is attached; under fault injection the
 #: limit comes from :attr:`repro.config.RetryConfig.rpc_dedup_cache_entries`.
@@ -172,27 +178,15 @@ class QueuePair:
         config = fabric.config
         self._req_leg_wire = config.request_wire_bytes + config.header_wire_bytes
         self._header_wire = config.header_wire_bytes
-        self._latency = config.one_way_latency_s
         self._request_wire = config.request_wire_bytes
+        #: Books one wire leg (:meth:`Fabric.leg`): every message this QP
+        #: sends or receives goes through it, obs stamps included.
+        self._leg = fabric.leg
         self._ltx = local_port.tx
         self._lrx = local_port.rx
         self._rtx = remote_server.port.tx
         self._rrx = remote_server.port.rx
         self._rstats = remote_server.stats
-
-    # -- internals -----------------------------------------------------------
-
-    def _request_leg(self, payload_bytes: int) -> Generator[Any, Any, None]:
-        # Returns fabric.transmit's generator directly (no wrapper frame);
-        # callers drive it with ``yield from`` exactly as before.
-        return self.fabric.transmit(
-            self.local_port.tx, self.remote.port.rx, payload_bytes
-        )
-
-    def _response_leg(self, payload_bytes: int) -> Generator[Any, Any, None]:
-        return self.fabric.transmit(
-            self.remote.port.tx, self.local_port.rx, payload_bytes
-        )
 
     # -- one-sided verbs -------------------------------------------------------
 
@@ -293,23 +287,31 @@ class QueuePair:
             return self._apply_cas(offset, arg[0], arg[1])
         return self._apply_faa(offset, arg)
 
-    def _apply_effects(
-        self, ops: List[Tuple], results: List[Any]
-    ) -> Generator[Any, Any, None]:
-        """Apply every entry whose result is still unknown, in posting
-        order, each followed by its replication fan-out (one leg per live
-        backup, charged before the client's completion). Entries that
-        already ran keep their first outcome: RC duplicate suppression."""
+    def _apply_mirrored(self, ops: List[Tuple]) -> Generator[Any, Any, List[Any]]:
+        """Apply every entry in posting order, each mutation followed by its
+        replication fan-out (one leg per live backup, charged before the
+        client's completion). Returns the per-entry results."""
         replication = self.fabric.replication
-        for i, op in enumerate(ops):
-            if results[i] is not _UNSET:
+        results = []
+        for op in ops:
+            result = self._apply(op)
+            results.append(result)
+            verb = op[0]
+            if verb is Verb.READ or (verb is Verb.CAS and not result[0]):
                 continue
-            result = results[i] = self._apply(op)
-            if replication is not None:
-                verb = op[0]
-                if verb is Verb.READ or (verb is Verb.CAS and not result[0]):
-                    continue
-                yield from replication.mirror_legs(self.logical_id, op[1])
+            yield from replication.mirror_legs(self.logical_id, op[1])
+        return results
+
+    def _lost(self, injector, verbs: List[Verb]) -> bool:
+        """Decide the fate of one wire leg of a chain of *verbs*: lost when
+        the server is down, else one drop draw — a single verb's own, or
+        the batch's at its most fault-prone member (the same draw)."""
+        server_id = self.remote.server_id
+        if injector.server_down(server_id):
+            return True
+        if len(verbs) == 1:
+            return injector.should_drop(verbs[0], server_id)
+        return injector.should_drop_batch(verbs, server_id)
 
     def _rerouted(self, epoch: int) -> Optional["QueuePair"]:
         """A verb on this queue pair exhausted its retries. Returns the
@@ -350,11 +352,12 @@ class QueuePair:
         after the response leg. With one, a lost request or response is
         detected after ``timeout_s`` and retried with backoff. Effects and
         mirror legs then land when the request is first delivered, so a
-        lost response cannot undo them, and retries re-learn the cached
-        results. A chain's request and response legs each take one
-        delivery draw at its most fault-prone member's probability. When
-        the budget is spent the chain is re-issued on the re-routed queue
-        pair if the cluster fails over (:meth:`_rerouted`), else it raises
+        lost response cannot undo them, and retries replay the first
+        results (RC duplicate suppression). Each wire leg of a chain takes
+        one delivery draw (:meth:`_lost`). Effects apply inline unless a
+        mutating chain owes mirror legs. When the budget is spent the chain
+        is re-issued on the re-routed queue pair if the cluster fails over
+        (:meth:`_rerouted`), else it raises
         :class:`~repro.errors.RetriesExhaustedError`.
         """
         fabric = self.fabric
@@ -367,6 +370,9 @@ class QueuePair:
         batch_id = fabric.next_batch_id() if batched else None
         replication = fabric.replication
         epoch = replication.epoch if replication is not None else 0
+        mirrored = replication is not None and any(
+            op[0] is not Verb.READ for op in ops
+        )
         injector = None if local else fabric.injector
         if injector is None:
             attempts = 1
@@ -374,26 +380,29 @@ class QueuePair:
             attempts = injector.retry.max_attempts
             verbs = [op[0] for op in ops]
         server_id = self.remote.server_id
+        request_wire = request_bytes + self._header_wire
         record = self._rstats.record
         started_at = sim.now
-        results: List[Any] = [_UNSET] * len(ops)
+        results = None
         for attempt in range(attempts):
             for op in ops:
                 record(op[0], op[1])
             if local:
                 yield from fabric.local_copy(sum(op[1] for op in ops))
             else:
-                yield from self._request_leg(request_bytes)
+                yield sim.timeout(self._leg(self._ltx, self._rrx, request_wire) - sim.now)
             if injector is not None:
                 if injector.should_duplicate(verbs[0], server_id):
                     # The NIC discards the duplicate; it only burns RX bandwidth.
-                    self._rrx.reserve(request_bytes + self._header_wire)
-                if injector.server_down(server_id) or injector.should_drop_batch(
-                    verbs, server_id
-                ):
+                    self._rrx.reserve(request_wire)
+                if self._lost(injector, verbs):
                     yield from self._attempt_lost(injector, verbs[0], attempt)
                     continue
-                yield from self._apply_effects(ops, results)
+                if results is None:
+                    results = (
+                        (yield from self._apply_mirrored(ops)) if mirrored
+                        else list(map(self._apply, ops))
+                    )
             if atomics and not local:
                 yield sim.timeout(atomics * fabric.config.atomic_extra_latency_s)
             if injector is not None:
@@ -401,12 +410,14 @@ class QueuePair:
                 if delay > 0.0:
                     yield sim.timeout(delay)
             if not local:
-                yield from self._response_leg(response_bytes)
+                done = self._leg(self._rtx, self._lrx, response_bytes + self._header_wire)
+                yield sim.timeout(done - sim.now)
             if injector is None:
-                yield from self._apply_effects(ops, results)
-            elif injector.server_down(server_id) or injector.should_drop_batch(
-                verbs, server_id
-            ):
+                results = (
+                    (yield from self._apply_mirrored(ops)) if mirrored
+                    else list(map(self._apply, ops))
+                )
+            elif self._lost(injector, verbs):
                 yield from self._attempt_lost(injector, verbs[0], attempt)
                 continue
             if fabric.tracer is not None or fabric.obs is not None:
@@ -453,59 +464,32 @@ class QueuePair:
     def read_view(self, offset: int, length: int) -> Generator[Any, Any, Any]:
         """RDMA READ returning a zero-copy view of the remote region.
 
-        The fault-free fast path: timing, stats, tracing, and the returned
-        bytes are identical to :meth:`read`; only the materialization
-        differs — no copy is made. The view aliases live region memory and
-        blocks region growth while any reference survives, so callers must
-        consume it *before their next simulation yield* and drop every
-        reference (see :meth:`MemoryRegion.read_view`). With a fault
-        injector or replication attached it falls back to :meth:`read` —
-        a retried READ must re-materialize fresh bytes, and a failover
-        re-reads another host's region — and returns bytes.
+        Timing, stats, tracing, and the returned bytes are identical to
+        :meth:`read`; only the materialization differs — no copy is made.
+        The view aliases live region memory and blocks region growth while
+        any reference survives, so callers must consume it *before their
+        next simulation yield* and drop every reference (see
+        :meth:`MemoryRegion.read_view`). A READ mirrors nothing, so the
+        view stays zero-copy under replication; only with a fault injector
+        on a non-local queue pair does it fall back to :meth:`read` — a
+        retried READ must re-materialize fresh bytes, and a failover
+        re-reads another host's region — and return bytes.
         """
         fabric = self.fabric
-        if fabric.injector is not None or fabric.replication is not None:
+        if fabric.injector is not None and not self.is_local:
             return (yield from self.read(offset, length))
-        if not self.is_local:
-            self.local_port.ring_doorbell()
         sim = self.sim
         started_at = sim.now
         stats = self._rstats
         stats.ops[Verb.READ] += 1
         stats.bytes[Verb.READ] += length
         if self.is_local:
-            yield from self.fabric.local_copy(length)
+            yield from fabric.local_copy(length)
         else:
-            # Both legs inlined from fabric.transmit — same reservation
-            # order (tx before rx), same single timeout per leg.
-            latency = self._latency
-            obs = self.fabric.obs
-            if obs is None:
-                wire = self._req_leg_wire
-                done = self._rrx.reserve(wire, self._ltx.reserve(wire) + latency)
-                yield sim.timeout(done - sim.now)
-                wire = length + self._header_wire
-                done = self._lrx.reserve(wire, self._rtx.reserve(wire) + latency)
-                yield sim.timeout(done - sim.now)
-            else:
-                # Same reservations in the same order, plus pure
-                # busy_until reads to split queueing from flight.
-                wire = self._req_leg_wire
-                leg_start = sim.now
-                tx_start = self._ltx.busy_until
-                arrival = self._ltx.reserve(wire) + latency
-                rx_start = max(self._rrx.busy_until, arrival)
-                done = self._rrx.reserve(wire, arrival)
-                obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
-                yield sim.timeout(done - sim.now)
-                wire = length + self._header_wire
-                leg_start = sim.now
-                tx_start = self._rtx.busy_until
-                arrival = self._rtx.reserve(wire) + latency
-                rx_start = max(self._lrx.busy_until, arrival)
-                done = self._lrx.reserve(wire, arrival)
-                obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
-                yield sim.timeout(done - sim.now)
+            self.local_port.ring_doorbell()
+            yield sim.timeout(self._leg(self._ltx, self._rrx, self._req_leg_wire) - sim.now)
+            done = self._leg(self._rtx, self._lrx, length + self._header_wire)
+            yield sim.timeout(done - sim.now)
         if fabric.tracer is not None or fabric.obs is not None:
             self._trace(Verb.READ, length, started_at)
         data = self.region.read_view(offset, length)
@@ -526,14 +510,14 @@ class QueuePair:
         """Doorbell-chained WRITE + FETCH_ADD(+1) on one page — the
         unlock-release sequence, specialized past VerbBatch staging.
 
-        The fault-free fast path: wire accounting, stats, tracing, and
-        memory effects are identical to ``batch().write(offset, data)
-        .fetch_and_add(offset, 1).execute()``; the specialization exists
-        because this 2-WQE chain is the hottest batch of every write
-        workload and the generic staging costs more host time than the
-        chain's own simulated legs. With a fault injector or replication
-        attached it falls back to that generic batch, which handles retry
-        replay, mirror legs and failover. Returns the FAA's old value.
+        Wire accounting, stats, tracing, and memory effects are identical
+        to ``batch().write(offset, data).fetch_and_add(offset, 1)
+        .execute()``; the specialization exists because this 2-WQE chain is
+        the hottest batch of every write workload and the generic staging
+        costs more host time than the chain's own simulated legs. With a
+        fault injector or replication attached it falls back to that
+        generic batch, which handles retry replay, mirror legs and
+        failover. Returns the FAA's old value.
         """
         fabric = self.fabric
         if fabric.injector is not None or fabric.replication is not None:
@@ -542,9 +526,8 @@ class QueuePair:
         nbytes = len(data)
         if not self.is_local:
             self.local_port.ring_doorbell(2)
-            obs = fabric.obs
-            if obs is not None:
-                obs.batch_executed(self.remote.server_id, 2)
+            if fabric.obs is not None:
+                fabric.obs.batch_executed(self.remote.server_id, 2)
         batch_id = fabric.next_batch_id()
         sim = self.sim
         started_at = sim.now
@@ -556,39 +539,11 @@ class QueuePair:
         if self.is_local:
             yield from fabric.local_copy(nbytes + 8)
         else:
-            # Legs inlined from fabric.transmit (tx reserve before rx,
-            # one timeout per leg), atomic surcharge between them.
-            latency = self._latency
-            request_wire = self._request_wire
-            obs = fabric.obs
-            if obs is None:
-                wire = request_wire + nbytes + request_wire + 16 + self._header_wire
-                done = self._rrx.reserve(wire, self._ltx.reserve(wire) + latency)
-                yield sim.timeout(done - sim.now)
-                yield sim.timeout(fabric.config.atomic_extra_latency_s)
-                wire = 8 + self._header_wire
-                done = self._lrx.reserve(wire, self._rtx.reserve(wire) + latency)
-                yield sim.timeout(done - sim.now)
-            else:
-                # Same reservations in the same order, plus pure
-                # busy_until reads to split queueing from flight.
-                wire = request_wire + nbytes + request_wire + 16 + self._header_wire
-                leg_start = sim.now
-                tx_start = self._ltx.busy_until
-                arrival = self._ltx.reserve(wire) + latency
-                rx_start = max(self._rrx.busy_until, arrival)
-                done = self._rrx.reserve(wire, arrival)
-                obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
-                yield sim.timeout(done - sim.now)
-                yield sim.timeout(fabric.config.atomic_extra_latency_s)
-                wire = 8 + self._header_wire
-                leg_start = sim.now
-                tx_start = self._rtx.busy_until
-                arrival = self._rtx.reserve(wire) + latency
-                rx_start = max(self._lrx.busy_until, arrival)
-                done = self._lrx.reserve(wire, arrival)
-                obs.stamp_leg(leg_start, tx_start, arrival, rx_start, done)
-                yield sim.timeout(done - sim.now)
+            wire = 2 * self._request_wire + nbytes + 16 + self._header_wire
+            yield sim.timeout(self._leg(self._ltx, self._rrx, wire) - sim.now)
+            yield sim.timeout(fabric.config.atomic_extra_latency_s)
+            done = self._leg(self._rtx, self._lrx, 8 + self._header_wire)
+            yield sim.timeout(done - sim.now)
         self._apply_write(offset, data)
         old = self._apply_faa(offset, 1)
         if fabric.tracer is not None or fabric.obs is not None:
@@ -658,7 +613,10 @@ class QueuePair:
             if self.is_local:
                 yield from fabric.local_copy(request_wire_bytes)
             else:
-                yield from self._request_leg(request_wire_bytes)
+                done = self._leg(
+                    self._ltx, self._rrx, request_wire_bytes + self._header_wire
+                )
+                yield sim.timeout(done - sim.now)
             if injector is None or not (
                 injector.server_down(server_id)
                 or injector.should_drop(Verb.SEND, server_id)
@@ -778,7 +736,8 @@ class QueuePair:
                     delay = injector.extra_delay(Verb.SEND, server_id)
                     if delay > 0.0:
                         yield self.sim.timeout(delay)
-                yield from self._response_leg(wire_bytes)
+                done = self._leg(self._rtx, self._lrx, wire_bytes + self._header_wire)
+                yield self.sim.timeout(done - self.sim.now)
             if not reply.triggered:
                 reply.succeed(response)
 

@@ -6,6 +6,13 @@ the server side, and invisible to the simulation.
   latencies, event counts, NIC bytes and verified entries — including a
   replicated run where a memory server crashes and a backup is promoted
   (the server-side memo then runs over an adopted region).
+* Chaos differential: memo on vs. off for every design, batched and
+  unbatched, under replication, drops, delays, duplicates and a crash that
+  forces a failover, a restart and a resync — identical event counts,
+  result fingerprints, fault and replication tallies and verified entries.
+* Invalidation: a crash, a promotion and a resync each empty every compute
+  server's memo (the three points where a logical server's bytes change
+  without a version bump); nothing else does.
 * Memory bound: the compute server's memo holds at most one master per
   allocated page, however many client sessions share it.
 * Unit guards on :class:`LocalAccessor`: shared masters vs. private clones,
@@ -25,12 +32,14 @@ from repro import (
 )
 from repro.btree.node import Node, NodeType
 from repro.btree.pointers import NULL_RAW, encode_pointer
-from repro.config import TreeConfig
+from repro.config import NetworkConfig, TreeConfig
 from repro.errors import RemoteAccessError
 from repro.experiments.common import build_index
 from repro.index.accessors import LocalAccessor, NoDecodeMemo, RemoteAccessor
 from repro.nam.compute_server import ComputeServer
 from repro.workloads import WorkloadRunner, WorkloadSpec, generate_dataset
+
+from tests.test_engine_golden import _fingerprint as _result_fingerprint
 
 DESIGNS = ("coarse-grained", "fine-grained", "hybrid")
 
@@ -165,6 +174,122 @@ def test_memo_on_and_off_simulate_identically_across_failover(design, monkeypatc
             assert promoted.region is not cluster.memory_servers[1].region
             assert bool(promoted._decode_cache) is memo_on
     assert fingerprints[0] == fingerprints[1]
+
+
+_CHAOS_PLAN = FaultPlan(
+    seed=41,
+    drop_probability=0.01,
+    delay_probability=0.02,
+    delay_s=20e-6,
+    duplicate_probability=0.01,
+    server_crashes=(ServerCrash(1, at_s=0.0015, down_for_s=0.001),),
+)
+
+
+def _chaos_run(design, batched):
+    """The chaos-golden cell shape, run long enough for the crashed server
+    to restart and be resynced."""
+    cluster = Cluster(
+        ClusterConfig(
+            num_memory_servers=4,
+            memory_servers_per_machine=2,
+            network=NetworkConfig(
+                message_overhead_s=1.0e-6, doorbell_batching=batched
+            ),
+            tree=TreeConfig(page_size=512, head_node_interval=24, prefetch_window=24),
+            replication_factor=2,
+            seed=7,
+        )
+    )
+    dataset = generate_dataset(3000, gap=8)
+    index = build_index(cluster, design, dataset)
+    injector = cluster.attach_faults(_CHAOS_PLAN)
+    runner = WorkloadRunner(cluster, dataset)
+    result = runner.run(
+        index, MIXED, num_clients=8, warmup_s=0.0005, measure_s=0.003, seed=7
+    )
+    events = cluster.sim.events_scheduled
+    fault_stats = dict(injector.stats)
+    injector.quiesce()
+    report = verify_index(cluster, index)
+    assert report.ok, report.violations
+    return cluster, (
+        events,
+        _result_fingerprint(result),
+        fault_stats,
+        dict(cluster.replication.stats),
+        report.entries,
+    )
+
+
+@pytest.mark.parametrize("batched", (True, False))
+@pytest.mark.parametrize("design", DESIGNS)
+def test_memo_on_and_off_simulate_identically_under_chaos(
+    design, batched, monkeypatch
+):
+    runs = []
+    for memo_on in (True, False):
+        with monkeypatch.context() as patch:
+            _install_memos(patch, memo_on)
+            calls = []
+            original = RemoteAccessor._decode_shared
+            patch.setattr(
+                RemoteAccessor,
+                "_decode_shared",
+                lambda acc, raw, data: calls.append(raw) or original(acc, raw, data),
+            )
+            cluster, outcome = _chaos_run(design, batched)
+        runs.append(outcome)
+        if memo_on and design != "coarse-grained":
+            # Client reads went through the compute-server memo under
+            # faults and replication, and the memo served some of them.
+            assert calls
+            assert any(cs.decode_memo for cs in cluster.compute_servers)
+    on, off = runs
+    _events, _fingerprint_, fault_stats, replication_stats, _entries = on
+    assert fault_stats["server_crashes"] == fault_stats["server_restarts"] == 1
+    assert fault_stats["drops"] and fault_stats["delays"]
+    assert fault_stats["duplicates"]
+    assert replication_stats["failovers"] >= 1
+    assert replication_stats["resynced_copies"] >= 1
+    assert on == off
+
+
+def _replicated_with_two_compute_servers():
+    cluster = Cluster(
+        ClusterConfig(num_memory_servers=3, replication_factor=2, seed=3)
+    )
+    dataset = generate_dataset(600, gap=4)
+    index = build_index(cluster, "fine-grained", dataset)
+    computes = [cluster.new_compute_server() for _ in range(2)]
+    for compute in computes:
+        session = index.session(compute)
+        for ordinal in range(0, 600, 7):
+            cluster.execute(session.lookup(dataset.key_at(ordinal)))
+    return cluster, computes
+
+
+def test_crash_promotion_and_resync_each_empty_every_compute_memo():
+    cluster, computes = _replicated_with_two_compute_servers()
+    replication = cluster.replication
+    assert all(compute.decode_memo for compute in computes)
+    marker = object()
+
+    def fill():
+        for compute in computes:
+            compute.decode_memo[1] = marker
+
+    # A timeout on a live primary changes no route and keeps the memos.
+    assert not replication.handle_failure(0, replication.epoch)
+    assert all(compute.decode_memo for compute in computes)
+    replication.on_crash(1)
+    assert not any(compute.decode_memo for compute in computes)
+    fill()
+    replication.promote(1)
+    assert not any(compute.decode_memo for compute in computes)
+    fill()
+    assert replication.resync_host(1) > 0
+    assert not any(compute.decode_memo for compute in computes)
 
 
 def test_compute_server_memo_holds_one_master_per_page():

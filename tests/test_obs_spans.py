@@ -40,6 +40,19 @@ class TestOpSpan:
         root.finish(3.0)
         assert root.finished_at == 2.0
 
+    def test_finish_drops_parent_links_but_keeps_the_tree(self):
+        """A finished tree points only downward (no cycle to collect), and
+        every span still shares the root's segments list."""
+        root = OpSpan(1, "op", "insert", 0.0)
+        child = root.child("descend", "root", 0.5)
+        grandchild = child.child("move_right", "level_0", 0.75)
+        assert grandchild.parent is child
+        assert grandchild.root_segments is child.root_segments is root.segments
+        root.finish(2.0)
+        assert child.parent is None and grandchild.parent is None
+        assert list(root.iter_spans()) == [root, child, grandchild]
+        assert child.segments == [] and grandchild.segments == []
+
     def test_duration_of_open_span_is_zero(self):
         span = OpSpan(1, "op", "point", 4.0)
         assert span.duration == 0.0
@@ -224,6 +237,35 @@ class TestHubLifecycle:
 
         sim.run_until_complete(sim.process(op()))
         assert captured["span"].verb_counts() == {"write": 1}
+
+    def test_subprocess_stamps_reach_the_root_after_its_step_closed(self):
+        """A fan-out sub-process keeps the step span it inherited; its wire
+        stamps land on the root even after the step was exited."""
+        sim = Simulator()
+        obs = make_obs(sim)
+        captured = {}
+
+        def fanout():
+            yield sim.timeout(2e-6)
+            obs.stamp_leg(sim.now, sim.now + 1e-6, sim.now + 2e-6, sim.now + 2e-6,
+                          sim.now + 3e-6)
+
+        def op():
+            span = obs.begin_op("op")
+            obs.enter_step("descend", "root")
+            child = sim.process(fanout())
+            yield sim.timeout(1e-6)
+            obs.exit_step()
+            yield child
+            obs.end_op(span, "range")
+            captured["span"] = span
+
+        sim.run_until_complete(sim.process(op()))
+        span = captured["span"]
+        assert [label for label, *_ in span.segments] == [
+            "nic_queue", "network_flight", "network_flight"
+        ]
+        assert span.children[0].segments == []
 
     def test_active_span_outside_any_process_is_none(self):
         sim = Simulator()
